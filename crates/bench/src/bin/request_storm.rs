@@ -9,11 +9,10 @@
 //! Emits `BENCH_storm.json` for the perf trajectory. Pass `--smoke` for
 //! the small CI configuration, `--workers N` to cap the scaling curve's
 //! largest point, and `--udp` to additionally measure the real-socket
-//! rows: the warm-hit round trip over a loopback `UdpTransport` gateway
-//! (one-in-flight latency plus a pipelined throughput phase) and the
-//! batched I/O engine's saturation storm over a `BatchedTransport`
-//! (≥100k warm hits/s on loopback is the full-mode gate). Both skip
-//! with a log line when the environment forbids binding. Pass
+//! row: the batched I/O engine's saturation storm over a loopback
+//! `BatchedTransport` gateway (≥100k warm hits/s is the full-mode
+//! gate). It skips with a log line when the environment forbids
+//! binding. Pass
 //! `--hostile` for the hostile-world row: a fault-injected sim gateway
 //! (10% drop + 10% reorder both directions) gated on ≥80% warm-hit
 //! delivery through the client's retransmit state machine and on a
@@ -37,7 +36,7 @@ use std::time::Duration;
 
 use indiss_bench::scenarios::{
     hostile_world, mesh_convergence, request_storm, trace_overhead, udp_batched_storm,
-    udp_warm_hit, warm_hit_pipeline_bytes, warm_hit_scaling,
+    warm_hit_pipeline_bytes, warm_hit_scaling,
 };
 use indiss_bench::worlds;
 
@@ -136,39 +135,6 @@ fn main() {
             point.throughput_rps / base,
             point.elapsed,
         );
-    }
-
-    // Real-socket warm-hit round trip (loopback UdpTransport gateway).
-    let (udp_requests, udp_types) = if smoke { (300u64, 16) } else { (2_000u64, 64) };
-    let udp_outcome = if udp { udp_warm_hit(udp_requests, udp_types, 26_000) } else { None };
-    if udp {
-        match &udp_outcome {
-            Some(o) => {
-                let p50 = o.p50.map(|d| d.as_secs_f64() * 1e6).unwrap_or(f64::NAN);
-                let p99 = o.p99.map(|d| d.as_secs_f64() * 1e6).unwrap_or(f64::NAN);
-                println!(
-                    "real-socket warm hits ({} reqs x {} types, loopback UDP)",
-                    o.requests, udp_types
-                );
-                println!("  replies received              {}", o.replies);
-                println!("  wire round-trip p50 / p99     {p50:.1} us / {p99:.1} us");
-                println!("  one-in-flight (1/mean RTT)    {:.0} req/s", o.one_in_flight_rps);
-                println!(
-                    "  pipelined (depth {})           {:.0} req/s  ({} replies)",
-                    o.pipeline_depth, o.pipelined_rps, o.pipelined_replies
-                );
-                // The storm is all-warm, but UDP on a loaded CI runner
-                // may legitimately lose the odd datagram; gate on
-                // near-lossless, not perfection.
-                assert!(
-                    o.replies * 100 >= o.requests * 95,
-                    "udp storm lost too many replies: {}/{}",
-                    o.replies,
-                    o.requests
-                );
-            }
-            None => println!("real-socket warm hits: SKIPPED (environment forbids loopback bind)"),
-        }
     }
 
     // The batched I/O engine under saturation (loopback
@@ -408,25 +374,6 @@ fn main() {
     // The real-socket row: an object when measured, `null` when the
     // mode was off or the environment forbade binding (so downstream
     // JSON consumers can distinguish "not run" without parse errors).
-    let udp_json = match &udp_outcome {
-        Some(o) => format!(
-            concat!(
-                "{{ \"requests\": {}, \"replies\": {}, \"wire_p50_us\": {:.2}, ",
-                "\"wire_p99_us\": {:.2}, \"one_in_flight_rps\": {:.1}, ",
-                "\"pipeline_depth\": {}, \"pipelined_replies\": {}, ",
-                "\"pipelined_rps\": {:.1} }}"
-            ),
-            o.requests,
-            o.replies,
-            o.p50.map(|d| d.as_secs_f64() * 1e6).unwrap_or(f64::NAN),
-            o.p99.map(|d| d.as_secs_f64() * 1e6).unwrap_or(f64::NAN),
-            o.one_in_flight_rps,
-            o.pipeline_depth,
-            o.pipelined_replies,
-            o.pipelined_rps,
-        ),
-        None => "null".to_owned(),
-    };
     let batched_json = match &batched_outcome {
         Some(o) => format!(
             concat!(
@@ -570,7 +517,6 @@ fn main() {
             "  \"scaling\": [\n{scaling_points}\n  ],\n",
             "  \"throughput_speedup_4_workers_vs_1\": {speedup},\n",
             "  \"throughput_speedup_8_workers_vs_4\": {speedup8},\n",
-            "  \"udp_warm_hit\": {udp_row},\n",
             "  \"udp_batched\": {batched_row},\n",
             "  \"hostile_world\": {hostile_row},\n",
             "  \"mesh_convergence\": {mesh_row},\n",
@@ -600,7 +546,6 @@ fn main() {
         // uploaded artifact unparseable when the curve stops below 4.
         speedup = speedup_4v1.map_or("null".to_owned(), |s| format!("{s:.2}")),
         speedup8 = speedup_8v4.map_or("null".to_owned(), |s| format!("{s:.2}")),
-        udp_row = udp_json,
         batched_row = batched_json,
         hostile_row = hostile_json,
         mesh_row = mesh_json,

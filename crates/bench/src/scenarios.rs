@@ -753,190 +753,6 @@ pub fn smoke_workload(seed: u64, services: usize) -> usize {
     found.len()
 }
 
-/// Outcome of the real-socket warm-hit measurement
-/// ([`udp_warm_hit`]).
-#[derive(Debug, Clone)]
-pub struct UdpStormOutcome {
-    /// Requests sent over the loopback socket (per phase: the
-    /// one-in-flight and pipelined phases each send this many).
-    pub requests: u64,
-    /// Replies that arrived back during the one-in-flight phase.
-    pub replies: u64,
-    /// p50 of the request → reply round trip, observed on the wire.
-    pub p50: Option<Duration>,
-    /// p99 of the round trip.
-    pub p99: Option<Duration>,
-    /// Replies per second with exactly **one request in flight** — this
-    /// is `1 / mean RTT`, a *latency* summary, not a saturation number
-    /// (its old name, `sequential_rps`, invited exactly that misread).
-    /// Compare [`UdpStormOutcome::pipelined_rps`] for delivered
-    /// throughput under concurrency.
-    pub one_in_flight_rps: f64,
-    /// Replies received during the pipelined phase.
-    pub pipelined_replies: u64,
-    /// Replies per second with [`UdpStormOutcome::pipeline_depth`]
-    /// requests kept in flight — what the gateway actually sustains
-    /// when the client does not serialize on each round trip.
-    pub pipelined_rps: f64,
-    /// In-flight window of the pipelined phase.
-    pub pipeline_depth: usize,
-}
-
-/// Real-socket warm-hit latency: a [`indiss_core::NetDriver`] gateway on
-/// a loopback [`indiss_net::UdpTransport`] (ports shifted by
-/// `port_offset`), its registry warmed for `distinct_types` types, and a
-/// client socket sending `requests` pre-encoded SLP `SrvRqst`s in two
-/// phases: first one at a time (timing each wire round trip: OS socket
-/// → recv thread → worker lane (decode → parse → classify → compose) →
-/// OS socket back), then again with [`UdpStormOutcome::pipeline_depth`]
-/// requests kept in flight, which measures delivered throughput rather
-/// than `1 / RTT`.
-///
-/// This is the §4.3 best case measured on actual sockets, the row
-/// recorded next to the simulated curve in `BENCH_storm.json`. Returns
-/// `None` when the environment forbids binding the (offset) ports — the
-/// caller should log the skip, not fail.
-pub fn udp_warm_hit(
-    requests: u64,
-    distinct_types: usize,
-    port_offset: u16,
-) -> Option<UdpStormOutcome> {
-    use indiss_core::{Event, EventStream, NetDriver, SdpProtocol};
-    use std::sync::mpsc;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let distinct_types = distinct_types.max(1);
-    let config = IndissConfig::builder()
-        .slp()
-        .cache_ttl(Duration::from_secs(3600))
-        .shards(16)
-        .workers(4)
-        .transport(indiss_net::TransportKind::Udp)
-        .port_offset(port_offset)
-        .build();
-    let driver = match NetDriver::start(config) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("udp_warm_hit: skipped (cannot bind loopback sockets: {e})");
-            return None;
-        }
-    };
-    let slp_addr = driver.channel_addr(SdpProtocol::Slp)?;
-    let now = driver.now();
-    let registry = driver.registry();
-    let mut wires: Vec<Vec<u8>> = Vec::with_capacity(distinct_types);
-    for i in 0..distinct_types {
-        let ty = format!("udpstorm-{i}");
-        registry.warm(
-            ty.as_str(),
-            EventStream::framed(vec![
-                Event::ServiceResponse,
-                Event::ResOk,
-                Event::ServiceType(ty.as_str().into()),
-                Event::ResTtl(1800),
-                Event::ResServUrl(format!("soap://10.0.0.2:4004/{ty}/control")),
-            ]),
-            now,
-        );
-        let msg = indiss_slp::Message::new(
-            indiss_slp::Header::new(
-                indiss_slp::FunctionId::SrvRqst,
-                (i % 60_000) as u16,
-                indiss_slp::DEFAULT_LANG,
-            ),
-            indiss_slp::Body::SrvRqst(indiss_slp::SrvRqst {
-                prlist: String::new(),
-                service_type: format!("service:{ty}"),
-                scopes: "DEFAULT".into(),
-                predicate: String::new(),
-                spi: String::new(),
-            }),
-        );
-        wires.push(msg.encode().expect("encodable"));
-    }
-
-    let (tx, rx) = mpsc::channel::<()>();
-    let transport = driver.transport();
-    let client = transport
-        .bind_client(Arc::new(move |_dgram| {
-            let _ = tx.send(());
-        }))
-        .ok()?;
-
-    let mut latencies: Vec<Duration> = Vec::with_capacity(requests as usize);
-    let mut replies = 0u64;
-    let started = Instant::now();
-    for r in 0..requests {
-        // A reply that straggled in after a previous timeout must not
-        // be paired with this request — drain it first so every
-        // recorded latency really times its own round trip.
-        while rx.try_recv().is_ok() {}
-        let wire = &wires[(r as usize) % distinct_types];
-        let sent = Instant::now();
-        if client.send_to(wire, slp_addr).is_err() {
-            continue;
-        }
-        if rx.recv_timeout(Duration::from_secs(2)).is_ok() {
-            latencies.push(sent.elapsed());
-            replies += 1;
-        }
-    }
-    let elapsed = started.elapsed().max(Duration::from_nanos(1));
-
-    // Phase 2: the same storm with a fixed pipeline of requests in
-    // flight. Loss-tolerant: a timed-out window is written off (UDP
-    // under load may drop) so the phase always terminates.
-    const DEPTH: usize = 8;
-    while rx.try_recv().is_ok() {}
-    let mut p_sent = 0u64;
-    let mut p_replies = 0u64;
-    let mut in_flight = 0usize;
-    let p_started = Instant::now();
-    let mut p_last_reply = p_started;
-    loop {
-        while in_flight < DEPTH && p_sent < requests {
-            let wire = &wires[(p_sent as usize) % distinct_types];
-            if client.send_to(wire, slp_addr).is_ok() {
-                in_flight += 1;
-            }
-            p_sent += 1;
-        }
-        if in_flight == 0 && p_sent >= requests {
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(250)) {
-            Ok(()) => {
-                p_replies += 1;
-                // Saturating: a straggler from a written-off window may
-                // arrive after the count was zeroed.
-                in_flight = in_flight.saturating_sub(1);
-                p_last_reply = Instant::now();
-            }
-            Err(_) => {
-                in_flight = 0; // written off as lost
-                if p_sent >= requests {
-                    break;
-                }
-            }
-        }
-    }
-    let p_elapsed = p_last_reply.duration_since(p_started).max(Duration::from_nanos(1));
-
-    driver.shutdown();
-    latencies.sort();
-    Some(UdpStormOutcome {
-        requests,
-        replies,
-        p50: percentile(&latencies, 0.50),
-        p99: percentile(&latencies, 0.99),
-        one_in_flight_rps: replies as f64 / elapsed.as_secs_f64(),
-        pipelined_replies: p_replies,
-        pipelined_rps: p_replies as f64 / p_elapsed.as_secs_f64(),
-        pipeline_depth: DEPTH,
-    })
-}
-
 /// Outcome of the batched-engine saturation storm
 /// ([`udp_batched_storm`]).
 #[derive(Debug, Clone)]

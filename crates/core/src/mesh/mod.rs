@@ -62,8 +62,8 @@
 //! are iterated in configuration order, and the transport seam supplies
 //! the network — a 10-gateway mesh on `SimTransport` (with
 //! [`FaultPlan`](indiss_net::FaultPlan) partitions, if desired) replays
-//! identically from a seed, while `UdpTransport`/`BatchedTransport`
-//! carry the same frames on real sockets.
+//! identically from a seed, while `BatchedTransport` carries the same
+//! frames on real sockets.
 
 mod custody;
 pub(crate) mod wire;

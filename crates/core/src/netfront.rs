@@ -39,8 +39,8 @@
 //! exact semantics the wire serves.
 //!
 //! Datagrams arrive in *batches* through [`Transport::bind_batched`]
-//! (one `Vec<Datagram>` per reactor wakeup on a batching transport such
-//! as [`indiss_net::BatchedTransport`]; singleton batches elsewhere),
+//! (one `Vec<Datagram>` per reactor wakeup on
+//! [`indiss_net::BatchedTransport`]; singleton batches on the sim bus),
 //! and each admitted batch becomes one worker-pool job — so a
 //! 32-datagram wakeup pays one enqueue, one admission, and one reply
 //! flush
@@ -64,8 +64,8 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use indiss_net::{
-    BindSpec, Datagram, FaultStats, SimTime, SimTransport, Transport, TransportKind,
-    TransportSocket, UdpTransport,
+    BatchedTransport, BindSpec, Datagram, FaultStats, SimTime, SimTransport, Transport,
+    TransportKind, TransportSocket,
 };
 use indiss_upnp::DeviceDescription;
 
@@ -291,8 +291,8 @@ pub struct NetFrontStats {
     /// Datagrams no parser table row matched.
     pub decode_rejected: u64,
     /// Reactor wakeups (epoll returns with ≥1 ready channel, or recv
-    /// returns on the fallback threads). Zero on transports without a
-    /// batching engine — see [`Transport::io_stats`].
+    /// returns on the fallback threads). Zero on the sim bus, which has
+    /// no I/O engine — see [`Transport::io_stats`].
     pub reactor_wakeups: u64,
     /// Histogram of datagrams drained per recv batch: buckets
     /// `[≤1, 2–7, 8–31, 32+]`.
@@ -375,8 +375,8 @@ pub struct NetDriverBuilder {
 
 impl NetDriverBuilder {
     /// Runs the driver on an explicit transport (e.g. a [`SimTransport`]
-    /// shared with scripted native peers, or a [`UdpTransport`] with a
-    /// port offset). Without this, the transport comes from
+    /// shared with scripted native peers, or a [`BatchedTransport`]
+    /// wrapped in a fault plan). Without this, the transport comes from
     /// `config.transport` / `config.port_offset`.
     pub fn transport(mut self, transport: Arc<dyn Transport>) -> NetDriverBuilder {
         self.transport = Some(transport);
@@ -463,7 +463,9 @@ impl NetDriver {
             Some(t) => t,
             None => match config.transport {
                 TransportKind::Sim => Arc::new(SimTransport::new()),
-                TransportKind::Udp => Arc::new(UdpTransport::new(config.bind, config.port_offset)),
+                TransportKind::Udp => {
+                    Arc::new(BatchedTransport::new(config.bind, config.port_offset))
+                }
             },
         };
         let fetcher = fetcher.or_else(|| match transport.kind() {
@@ -771,8 +773,7 @@ impl NetDriver {
     }
 
     /// The front-end's own wire-level counters, merged with the
-    /// transport's reactor/batch-I/O counters (zeros on transports
-    /// without a batching engine).
+    /// transport's reactor/batch-I/O counters (zeros on the sim bus).
     pub fn front_stats(&self) -> NetFrontStats {
         let c = &self.inner.counters;
         let io = self.inner.transport.io_stats().unwrap_or_default();
@@ -1257,7 +1258,7 @@ mod tests {
         driver.shutdown();
     }
 
-    /// On a transport without a batching engine the reactor counters
+    /// Only the sim bus has no I/O engine; there the reactor counters
     /// read as zeros — present, not absent, so dashboards need no
     /// special case.
     #[test]

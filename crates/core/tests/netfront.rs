@@ -1,10 +1,10 @@
 //! Transport-seam integration tests: the same scripted traffic through
-//! a [`SimTransport`] gateway and a real-socket [`UdpTransport`]
+//! a [`SimTransport`] gateway and a real-socket [`BatchedTransport`]
 //! gateway must produce byte-identical composed messages, identical
 //! registry contents and identical bridge accounting — the wire is an
 //! implementation detail behind the seam, not a semantic fork.
 //!
-//! UDP halves skip (with a log line) when the environment forbids
+//! Real-socket halves skip (with a log line) when the environment forbids
 //! binding loopback sockets; the Sim halves always run.
 
 use std::sync::atomic::{AtomicU16, Ordering};
@@ -16,7 +16,6 @@ use indiss_core::{
 };
 use indiss_net::{
     BatchedTransport, Datagram, SimTransport, Transport, TransportKind, TransportSocket,
-    UdpTransport,
 };
 use indiss_upnp::{DeviceDescription, ServiceDescription};
 
@@ -110,7 +109,7 @@ fn run_script(transport: Arc<dyn Transport>) -> ScriptOutcome {
     let slp_addr = driver.channel_addr(SdpProtocol::Slp).expect("slp");
 
     // 1. The device advertises; wait until the gateway recorded it
-    //    (the UDP run crosses real recv threads, so poll).
+    //    (the real-socket run crosses the reactor thread, so poll).
     client.send_to(&clock_notify(location), upnp_addr).expect("send NOTIFY");
     let deadline = Instant::now() + Duration::from_secs(3);
     while !driver.registry().contains_type("clock", driver.now()) {
@@ -131,7 +130,7 @@ fn run_script(transport: Arc<dyn Transport>) -> ScriptOutcome {
     // 4. An absent type: fans nowhere, arms suppression, stays silent.
     client.send_to(&slp_request("service:toaster", 0x0AA2), slp_addr).expect("send absent");
     driver.join();
-    // Give a stray (incorrect) reply a moment to surface in UDP mode.
+    // Give a stray (incorrect) reply a moment to surface on real sockets.
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "absent type must be silence");
 
     let stats = driver.stats();
@@ -151,9 +150,13 @@ fn run_script(transport: Arc<dyn Transport>) -> ScriptOutcome {
 }
 
 /// The headline seam test: one script, two transports, byte-identical
-/// composed messages and identical state.
+/// composed messages and identical state. The real-socket half is
+/// [`BatchedTransport`] (reactor + `recvmmsg`/`sendmmsg` where
+/// available, portable thread-per-channel fallback under
+/// `--no-default-features`); its counters prove the selected engine
+/// actually carried the traffic.
 #[test]
-fn sim_and_udp_runs_are_byte_identical() {
+fn sim_and_real_socket_runs_are_byte_identical() {
     let sim = run_script(Arc::new(SimTransport::new()));
 
     // Sanity on the sim run itself before comparing.
@@ -171,37 +174,17 @@ fn sim_and_udp_runs_are_byte_identical() {
     assert_eq!(sim.adverts_recorded, 1);
     assert!(sim.has_clock);
 
-    let transport = UdpTransport::with_offset(next_offset());
+    let transport = Arc::new(BatchedTransport::with_offset(next_offset()));
     // Probe whether this environment allows loopback sockets at all.
     if transport.bind_client(Arc::new(|_| {})).is_err() {
-        eprintln!("skipping UDP half of sim_and_udp_runs_are_byte_identical: no loopback sockets");
+        eprintln!("skipping real-socket half of the parity test: no loopback sockets");
         return;
     }
-    let udp = run_script(Arc::new(transport));
+    let real = run_script(Arc::clone(&transport) as Arc<dyn Transport>);
 
     // The XIDs differ per message but are identical across runs, so the
     // composed payloads must match byte for byte.
-    assert_eq!(sim, udp, "transport seam leaked into semantics");
-}
-
-/// The same parity bar for the batched I/O engine: substituting
-/// [`BatchedTransport`] (reactor + `recvmmsg`/`sendmmsg` where
-/// available, portable thread-per-channel fallback under
-/// `--no-default-features`) under the same script must change
-/// *nothing* observable — byte-identical composed messages, identical
-/// registry and bridge state — while its counters prove the selected
-/// engine actually carried the traffic.
-#[test]
-fn batched_transport_run_is_byte_identical_too() {
-    let sim = run_script(Arc::new(SimTransport::new()));
-
-    let transport = Arc::new(BatchedTransport::with_offset(next_offset()));
-    if transport.bind_client(Arc::new(|_| {})).is_err() {
-        eprintln!("skipping batched_transport_run_is_byte_identical_too: no loopback sockets");
-        return;
-    }
-    let batched = run_script(Arc::clone(&transport) as Arc<dyn Transport>);
-    assert_eq!(sim, batched, "batched engine leaked into semantics");
+    assert_eq!(sim, real, "transport seam leaked into semantics");
 
     // The engine's own counters (surfaced through the same seam as
     // NetFrontStats). The `io_stats()` surface is identical in both
@@ -224,18 +207,20 @@ fn batched_transport_run_is_byte_identical_too() {
 
 /// Passive port-detection of a *descriptor* protocol from live packets
 /// (paper Fig. 4/5): the lazy gateway activates the protocol's pipeline
-/// on first real traffic and serves its native answer line.
+/// on first real traffic and serves its native answer line. Started
+/// from configuration alone, so it also pins that the engine
+/// `TransportKind::Udp` selects is the measured reactor engine.
 #[test]
 fn descriptor_protocol_detected_and_served_on_real_sockets() {
     let descriptor = SdpDescriptor::dns_sd();
-    let transport = UdpTransport::with_offset(next_offset());
     let config = IndissConfig::builder()
         .slp()
         .descriptor(descriptor.clone())
         .lazy()
         .transport(TransportKind::Udp)
+        .port_offset(next_offset())
         .build();
-    let driver = match NetDriver::builder(config).transport(Arc::new(transport)).start() {
+    let driver = match NetDriver::builder(config).start() {
         Ok(d) => d,
         Err(e) => {
             eprintln!("skipping descriptor_protocol_detected_and_served_on_real_sockets: {e}");
@@ -272,6 +257,9 @@ fn descriptor_protocol_detected_and_served_on_real_sockets() {
     );
     assert_eq!(driver.detected(), vec![descriptor.protocol()], "port-based detection");
     assert_eq!(driver.active_units(), vec![descriptor.protocol()], "Fig. 5 activation");
+    let front = driver.front_stats();
+    assert!(front.reactor_wakeups >= 1, "config-selected engine reports no wakeups: {front:?}");
+    assert!(front.recv_batch_hist.iter().sum::<u64>() >= 1, "empty recv-batch histogram");
     driver.shutdown();
 }
 

@@ -1,15 +1,16 @@
-//! `BatchedTransport`: the reactor-backed real-socket transport.
+//! `BatchedTransport`: the real-socket transport — what
+//! [`TransportKind::Udp`] means.
 //!
-//! Same seam, same loopback confinement, same port-offset rules as
-//! [`crate::UdpTransport`] — but instead of one blocking recv thread
-//! per channel, every channel registers its nonblocking socket with a
-//! single [`crate::reactor`] thread that drains readiness in
-//! `recvmmsg` batches, and replies flush through `sendmmsg`
+//! Loopback-confined by default, with every protocol port shifted by a
+//! configurable offset (see the [`crate::transport`] module docs).
+//! Every channel registers its nonblocking socket with a single
+//! [`crate::reactor`] thread that drains readiness in `recvmmsg`
+//! batches, and replies flush through `sendmmsg`
 //! ([`TransportSocket::send_batch`]). On non-Linux targets, or when the
 //! `epoll` feature is disabled, the same type degrades to a portable
-//! one-at-a-time fallback: a recv thread per channel (exactly the
-//! [`crate::UdpTransport`] shape) delivering singleton batches and
-//! counting them into the same [`IoStats`], so callers observe one
+//! one-at-a-time fallback — a blocking recv thread per channel, the
+//! crate's only thread-per-channel path — delivering singleton batches
+//! and counting them into the same [`IoStats`], so callers observe one
 //! behavior contract on every platform.
 
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
@@ -18,10 +19,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::error::{NetError, NetResult};
 use crate::transport::{
-    BindSpec, IoCounters, IoStats, Transport, TransportBatchSink, TransportKind, TransportSink,
-    TransportSocket,
+    BindSpec, IoCounters, IoStats, Transport, TransportBatchSink, TransportKind, TransportSocket,
 };
-use crate::udp::Datagram;
 
 #[cfg(all(target_os = "linux", feature = "epoll"))]
 use crate::reactor::Reactor;
@@ -29,7 +28,7 @@ use crate::reactor::Reactor;
 use crate::sys;
 
 /// How long a fallback recv thread blocks per `recv_from` before
-/// re-checking the shutdown flag (mirrors `UdpTransport`).
+/// re-checking the shutdown flag.
 #[cfg(not(all(target_os = "linux", feature = "epoll")))]
 const RECV_POLL: std::time::Duration = std::time::Duration::from_millis(25);
 
@@ -76,14 +75,16 @@ impl BatchedTransport {
     }
 
     /// A loopback-confined batched transport whose protocol ports are
-    /// shifted by `offset` (same rules as
-    /// [`crate::UdpTransport::with_offset`]).
+    /// shifted by `offset` — lets unprivileged CI bind SLP
+    /// (427 → 427+offset) and lets parallel tests avoid colliding on
+    /// one port space.
     pub fn with_offset(offset: u16) -> BatchedTransport {
         BatchedTransport::new(Ipv4Addr::LOCALHOST, offset)
     }
 
     /// A batched transport bound to `bind_ip` with protocol ports
-    /// shifted by `offset`.
+    /// shifted by `offset`. Binding a non-loopback interface takes the
+    /// gateway onto the LAN — the deployment mode, not the CI mode.
     pub fn new(bind_ip: Ipv4Addr, offset: u16) -> BatchedTransport {
         BatchedTransport {
             bind_ip,
@@ -99,8 +100,9 @@ impl BatchedTransport {
         }
     }
 
-    /// Binds the std socket and joins groups — identical policy to
-    /// `UdpTransport::bind_socket` up to the recv mechanism.
+    /// Binds the std socket and joins groups. Joins are best-effort: a
+    /// loopback-confined runner commonly refuses them, and unicast
+    /// loopback is still a full test of the datagram path.
     fn bind_std(
         &self,
         port: u16,
@@ -133,6 +135,12 @@ impl BatchedTransport {
         let io_err =
             |op: &'static str| move |e: std::io::Error| NetError::Io { op, message: e.to_string() };
         let mut guard = self.shared.reactor.lock().expect("reactor slot poisoned");
+        // Checked under the slot lock `shutdown()` takes the reactor
+        // through: a reactor spawned after it would exit on its first
+        // stop check and leave this channel bound but deaf.
+        if self.shared.stop.load(Ordering::Relaxed) {
+            return Err(NetError::SocketClosed);
+        }
         if guard.is_none() {
             *guard = Some(
                 Reactor::spawn(Arc::clone(&self.shared.stop), Arc::clone(&self.shared.counters))
@@ -146,9 +154,9 @@ impl BatchedTransport {
             .map_err(io_err("register"))
     }
 
-    /// Portable fallback: one blocking recv thread per channel (the
-    /// `UdpTransport` shape) delivering singleton batches and counting
-    /// them into the shared [`IoCounters`].
+    /// Portable fallback: one blocking recv thread per channel
+    /// delivering singleton batches and counting them into the shared
+    /// [`IoCounters`].
     #[cfg(not(all(target_os = "linux", feature = "epoll")))]
     fn attach(
         &self,
@@ -160,6 +168,13 @@ impl BatchedTransport {
         let io_err =
             |op: &'static str| move |e: std::io::Error| NetError::Io { op, message: e.to_string() };
         socket.set_read_timeout(Some(RECV_POLL)).map_err(io_err("set_read_timeout"))?;
+        let mut threads = self.shared.threads.lock().expect("batched thread list poisoned");
+        // Checked under the list lock `shutdown()` drains the threads
+        // through: a thread spawned after it would exit on its first
+        // stop check and leave this channel bound but deaf.
+        if self.shared.stop.load(Ordering::Relaxed) {
+            return Err(NetError::SocketClosed);
+        }
         let stop = Arc::clone(&self.shared.stop);
         let counters = Arc::clone(&self.shared.counters);
         let handle = std::thread::Builder::new()
@@ -171,7 +186,11 @@ impl BatchedTransport {
                         Ok((len, SocketAddr::V4(src))) => {
                             counters.wakeups.fetch_add(1, Ordering::Relaxed);
                             counters.record_recv_batch(1);
-                            sink(vec![Datagram { src, dst: local, payload: buf[..len].to_vec() }]);
+                            sink(vec![crate::udp::Datagram {
+                                src,
+                                dst: local,
+                                payload: buf[..len].to_vec(),
+                            }]);
                         }
                         Ok((_, SocketAddr::V6(_))) => {} // v4-only seam
                         Err(e)
@@ -186,7 +205,7 @@ impl BatchedTransport {
                 }
             })
             .map_err(io_err("spawn"))?;
-        self.shared.threads.lock().expect("batched thread list poisoned").push(handle);
+        threads.push(handle);
         Ok(())
     }
 
@@ -272,21 +291,7 @@ impl TransportSocket for BatchedSocketHandle {
 
 impl Transport for BatchedTransport {
     fn kind(&self) -> TransportKind {
-        // Same wire contract as `UdpTransport` — real loopback sockets
-        // with offset ports — so callers that branch on kind (fetchers,
-        // bench metadata) treat it identically.
         TransportKind::Udp
-    }
-
-    fn bind(&self, spec: &BindSpec, sink: TransportSink) -> NetResult<Arc<dyn TransportSocket>> {
-        self.bind_batched(
-            spec,
-            Arc::new(move |batch: Vec<Datagram>| {
-                for dgram in batch {
-                    sink(dgram);
-                }
-            }),
-        )
     }
 
     fn bind_batched(
@@ -296,14 +301,6 @@ impl Transport for BatchedTransport {
     ) -> NetResult<Arc<dyn TransportSocket>> {
         let port = self.map_port(spec.port);
         self.bind_socket_batched(port, &spec.groups, sink, &port.to_string())
-    }
-
-    fn bind_client(&self, sink: TransportSink) -> NetResult<Arc<dyn TransportSocket>> {
-        self.bind_client_batched(Arc::new(move |batch: Vec<Datagram>| {
-            for dgram in batch {
-                sink(dgram);
-            }
-        }))
     }
 
     fn bind_client_batched(&self, sink: TransportBatchSink) -> NetResult<Arc<dyn TransportSocket>> {
@@ -342,6 +339,7 @@ impl Transport for BatchedTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::udp::Datagram;
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -465,6 +463,24 @@ mod tests {
             elapsed < Duration::from_millis(250),
             "shutdown waited out the poll tick: {elapsed:?}"
         );
+    }
+
+    /// `shutdown()` is final: a later bind must fail loudly instead of
+    /// returning a bound port whose reactor (or fallback recv thread)
+    /// exits on its first stop check and never delivers.
+    #[test]
+    fn bind_after_shutdown_is_refused() {
+        let transport = BatchedTransport::with_offset(23_800);
+        let spec = BindSpec { port: 427, groups: vec![] };
+        if transport.bind_batched(&spec, Arc::new(|_| {})).is_err() {
+            eprintln!("skipping bind_after_shutdown_is_refused: no loopback bind");
+            return;
+        }
+        transport.shutdown();
+        let rebind = transport.bind_batched(&spec, Arc::new(|_| {}));
+        assert!(matches!(rebind, Err(NetError::SocketClosed)), "bound a deaf channel");
+        let client = transport.bind_client_batched(Arc::new(|_| {}));
+        assert!(matches!(client, Err(NetError::SocketClosed)), "bound a deaf client channel");
     }
 
     #[test]

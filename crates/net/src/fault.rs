@@ -39,8 +39,7 @@ use std::sync::{Arc, Mutex};
 use crate::error::NetResult;
 use crate::time::SimTime;
 use crate::transport::{
-    BindSpec, FaultStats, IoStats, Transport, TransportBatchSink, TransportKind, TransportSink,
-    TransportSocket,
+    BindSpec, FaultStats, IoStats, Transport, TransportBatchSink, TransportKind, TransportSocket,
 };
 use crate::udp::Datagram;
 
@@ -273,18 +272,6 @@ impl FaultTransport {
         }
     }
 
-    fn faulted_sink(&self, key: u64, sink: TransportSink) -> TransportSink {
-        let lane = self.lane(key);
-        let this = self.snapshot_handle();
-        Arc::new(move |dgram| {
-            let mut out = Vec::with_capacity(2);
-            this.admit(&lane, dgram, &mut out);
-            for dgram in out {
-                sink(dgram);
-            }
-        })
-    }
-
     fn faulted_batch_sink(&self, key: u64, sink: TransportBatchSink) -> TransportBatchSink {
         let lane = self.lane(key);
         let this = self.snapshot_handle();
@@ -322,14 +309,6 @@ impl Transport for FaultTransport {
         self.inner.kind()
     }
 
-    fn bind(&self, spec: &BindSpec, sink: TransportSink) -> NetResult<Arc<dyn TransportSocket>> {
-        self.inner.bind(spec, self.faulted_sink(u64::from(spec.port), sink))
-    }
-
-    fn bind_client(&self, sink: TransportSink) -> NetResult<Arc<dyn TransportSocket>> {
-        self.inner.bind_client(self.faulted_sink(self.next_client_key(), sink))
-    }
-
     fn bind_batched(
         &self,
         spec: &BindSpec,
@@ -365,15 +344,27 @@ mod tests {
     use std::net::Ipv4Addr;
 
     fn run_stream(plan: FaultPlan, count: usize) -> (Vec<Vec<u8>>, FaultStats) {
+        run_stream_via(plan, count, false)
+    }
+
+    /// Pushes `count` datagrams at a faulted server channel bound either
+    /// through the per-datagram `bind` adapter or through `bind_batched`.
+    fn run_stream_via(plan: FaultPlan, count: usize, batched: bool) -> (Vec<Vec<u8>>, FaultStats) {
         let faulty = FaultTransport::wrap(Arc::new(SimTransport::new()), plan);
         let heard = Arc::new(Mutex::new(Vec::new()));
         let heard2 = Arc::clone(&heard);
-        let server = faulty
-            .bind(
-                &BindSpec { port: 4427, groups: vec![] },
-                Arc::new(move |d: Datagram| heard2.lock().unwrap().push(d.payload)),
+        let spec = BindSpec { port: 4427, groups: vec![] };
+        let server = if batched {
+            faulty.bind_batched(
+                &spec,
+                Arc::new(move |batch: Vec<Datagram>| {
+                    heard2.lock().unwrap().extend(batch.into_iter().map(|d| d.payload));
+                }),
             )
-            .unwrap();
+        } else {
+            faulty.bind(&spec, Arc::new(move |d: Datagram| heard2.lock().unwrap().push(d.payload)))
+        }
+        .unwrap();
         let client = faulty.bind_client(Arc::new(|_| {})).unwrap();
         for i in 0..count {
             client.send_to(&[i as u8, (i >> 8) as u8], server.local_addr()).unwrap();
@@ -381,6 +372,18 @@ mod tests {
         let stats = faulty.fault_stats();
         let heard = heard.lock().unwrap().clone();
         (heard, stats)
+    }
+
+    /// The provided per-datagram `bind` adapter and `bind_batched` meet
+    /// the identical hostile world: same delivered payload sequence,
+    /// same fault counters. One fault-admission closure serves both.
+    #[test]
+    fn per_datagram_and_batched_binds_meet_the_same_world() {
+        let (per_datagram, per_datagram_stats) = run_stream_via(FaultPlan::hostile(42), 400, false);
+        let (batched, batched_stats) = run_stream_via(FaultPlan::hostile(42), 400, true);
+        assert_eq!(per_datagram, batched, "identical delivered sequence");
+        assert_eq!(per_datagram_stats, batched_stats);
+        assert!(batched_stats.dropped > 0 && batched_stats.reordered > 0, "{batched_stats:?}");
     }
 
     #[test]

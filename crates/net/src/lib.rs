@@ -85,7 +85,7 @@ pub use time::SimTime;
 pub use trace::{PacketTrace, TraceEntry, TraceOutcome};
 pub use transport::{
     BindSpec, FaultStats, IoStats, SimTransport, Transport, TransportBatchSink, TransportKind,
-    TransportSink, TransportSocket, UdpTransport,
+    TransportSink, TransportSocket,
 };
 pub use udp::{Datagram, UdpSocket, UdpSocketId};
 pub use world::{World, WorldConfig};

@@ -5,11 +5,11 @@
 //! adapter it rides on: one bound channel per gateway, plus a send path
 //! that resolves a peer's well-known port through
 //! [`Transport::map_port`] so the same mesh code runs unchanged on the
-//! deterministic [`SimTransport`](crate::transport::SimTransport) bus,
-//! the loopback-confined [`UdpTransport`](crate::transport::UdpTransport)
-//! (where each gateway binds at a different port offset), and the
-//! batched engine — and composes with
-//! [`FaultTransport`](crate::FaultTransport) for partition injection.
+//! deterministic [`SimTransport`](crate::transport::SimTransport) bus
+//! and the loopback-confined [`BatchedTransport`](crate::BatchedTransport)
+//! (where each gateway binds at a different port offset) — and composes
+//! with [`FaultTransport`](crate::FaultTransport) for partition
+//! injection.
 //!
 //! Peer channels are unicast-only: no multicast groups are joined, so
 //! binding never degrades and mesh traffic stays invisible to the SDP
@@ -100,8 +100,7 @@ mod tests {
 
     #[test]
     fn send_maps_the_peer_port_through_the_transport_offset() {
-        use crate::transport::UdpTransport;
-        let transport: Arc<dyn Transport> = Arc::new(UdpTransport::with_offset(31_000));
+        let transport: Arc<dyn Transport> = Arc::new(crate::BatchedTransport::with_offset(31_000));
         let heard: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = {
             let heard = Arc::clone(&heard);

@@ -61,8 +61,10 @@
 //! runs on real sockets. [`core::NetDriver`] serves the decode → parse
 //! → classify → deliver warm path over a transport seam
 //! ([`net::Transport`]): [`net::SimTransport`] is a deterministic
-//! in-memory bus, [`net::UdpTransport`] is real `std::net` UDP with
-//! per-channel recv threads, loopback-confined by default. Passive
+//! in-memory bus, [`net::BatchedTransport`] is real `std::net` UDP
+//! drained by one epoll reactor in `recvmmsg` batches (per-channel recv
+//! threads where epoll is unavailable), loopback-confined by default —
+//! the engine `TransportKind::Udp` selects. Passive
 //! port detection, Fig. 5 lazy unit activation, registry-backed warm
 //! hits, bounded backpressure and real HTTP-over-TCP UPnP description
 //! fetches all work on the wire; one scripted scenario produces
