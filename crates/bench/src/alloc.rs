@@ -100,4 +100,60 @@ mod tests {
         assert_eq!(len, SIBLING);
         assert!(bytes < SIBLING as u64, "only the spawn bookkeeping is ours: {bytes}");
     }
+
+    /// The wire engine's own allocation budget, read on the threads that
+    /// spend it: a reactor wake-up that delivers one datagram allocates
+    /// exactly what it hands over — the one-element `Vec<Datagram>` and
+    /// the payload copy — and flushing one reply allocates nothing. The
+    /// per-wake-up `iovec`/`mmsghdr`/event scratch (≈6 kB) this pins out
+    /// was most of a warm hit's allocation bill.
+    #[test]
+    fn wire_engine_allocates_only_the_batch_it_delivers() {
+        use indiss_net::{BatchedTransport, Datagram, Transport};
+        use std::sync::{Arc, Mutex};
+
+        const WAKEUPS: usize = 8;
+        let payload = vec![0x5A; 48];
+        let transport = BatchedTransport::loopback();
+        // The sink runs on the delivery thread: note that thread's
+        // running total at each entry. Room is reserved up front so
+        // taking the note allocates nothing itself.
+        let entries = Arc::new(Mutex::new(Vec::<u64>::with_capacity(WAKEUPS)));
+        let sink_entries = Arc::clone(&entries);
+        let server = match transport.bind_client_batched(Arc::new(move |batch: Vec<Datagram>| {
+            assert_eq!(batch.len(), 1, "one datagram per wake-up");
+            sink_entries.lock().expect("entries").push(allocated_bytes());
+        })) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("skipping wire_engine_allocates_only_the_batch_it_delivers: {e}");
+                return;
+            }
+        };
+        let client = transport.bind_client_batched(Arc::new(|_| {})).expect("client");
+
+        let reply = [(payload.clone(), server.local_addr())];
+        for delivered in 0..WAKEUPS {
+            let (sent, bytes) = allocated_during(|| client.send_batch(&reply));
+            assert_eq!(sent, 1);
+            assert_eq!(bytes, 0, "flushing one reply must not allocate");
+            // One in flight at a time, so every delivery is its own
+            // wake-up.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(3);
+            while entries.lock().expect("entries").len() <= delivered {
+                assert!(std::time::Instant::now() < deadline, "datagram {delivered} never arrived");
+                std::thread::yield_now();
+            }
+        }
+        transport.shutdown();
+
+        // Between two sink entries the delivery thread dropped a batch,
+        // went back to sleep, woke, received and built the next batch.
+        // (The first entry also carries the thread's start-up.)
+        let per_wakeup = (std::mem::size_of::<Datagram>() + payload.len()) as u64;
+        let entries = entries.lock().expect("entries");
+        for pair in entries.windows(2) {
+            assert_eq!(pair[1] - pair[0], per_wakeup, "a wake-up allocated more than its batch");
+        }
+    }
 }

@@ -486,13 +486,15 @@ impl EventStream {
 
     /// All `ResAttr` pairs.
     pub fn response_attrs(&self) -> Vec<(&str, &str)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                Event::ResAttr { tag, value } => Some((&**tag, &**value)),
-                _ => None,
-            })
-            .collect()
+        self.response_attr_iter().collect()
+    }
+
+    /// All `ResAttr` pairs, in stream order, without collecting them.
+    pub(crate) fn response_attr_iter(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
+        self.events.iter().filter_map(|e| match e {
+            Event::ResAttr { tag, value } => Some((&**tag, &**value)),
+            _ => None,
+        })
     }
 
     /// True when the stream describes a search request.

@@ -272,13 +272,17 @@ impl ThreadedGateway {
     }
 
     /// Creates a gateway from an [`IndissConfig`], honoring its
-    /// `shards`, `workers`, cache, suppression and tracing knobs (a
-    /// `trace = true` config gets one span ring per worker, stamped
-    /// from a monotonic wall clock).
+    /// `shards`, `workers`, cache, suppression and tracing knobs. A
+    /// `trace = true` config gets one span ring per worker plus one per
+    /// configured unit, stamped from a monotonic wall clock: the wire
+    /// front-end runs a non-blocking channel's pipeline on the
+    /// transport's delivery thread, which must not share a worker's
+    /// single-writer ring, so channel `c` records at lane `workers + c`.
     pub fn from_config(config: &IndissConfig) -> ThreadedGateway {
         let tracer = if config.trace {
             let ports: Vec<u16> = config.protocols().iter().map(|p| p.port()).collect();
-            Tracer::new(config.trace_capacity, config.workers, &ports, Arc::new(WallClock::new()))
+            let rings = config.workers.max(1) + config.units.len();
+            Tracer::new(config.trace_capacity, rings, &ports, Arc::new(WallClock::new()))
         } else {
             Tracer::disabled()
         };
@@ -357,10 +361,11 @@ impl ThreadedGateway {
     }
 
     /// Enqueues an arbitrary job on `lane` (`lane % workers` picks the
-    /// thread). This is the hook request *sources* use to move the whole
-    /// per-request pipeline — wire decode, parse, classify, deliver —
-    /// onto the owning worker: the submitting thread pays only for the
-    /// enqueue. Pair with [`ThreadedGateway::lane_of`] and a
+    /// thread). This is the hook request *sources* use to move a
+    /// per-request pipeline that may block — wire decode, parse,
+    /// description fetch, deliver — onto the owning worker: the
+    /// submitting thread pays only for the enqueue. Pair with
+    /// [`ThreadedGateway::lane_of`] and a
     /// [`GatewayCore`] captured by the job.
     pub fn submit_on_lane(&self, lane: usize, job: impl FnOnce() + Send + 'static) {
         self.pool.submit(lane, job);

@@ -6,8 +6,8 @@
 //! life: it opens one transport channel per configured protocol —
 //! joining the multicast groups declared by the protocol's detection
 //! tag, exactly as the monitor does in the simulation — and runs the
-//! existing decode → parse → classify → deliver warm path over the
-//! lane-routed [`crate::WorkerPool`] of a [`ThreadedGateway`]:
+//! existing decode → parse → classify → deliver warm path on the
+//! shared registry of a [`ThreadedGateway`]:
 //!
 //! * **detection** (paper §2.1) is passive and port-based, through the
 //!   transport seam: a [`DetectionRecord`] per protocol from data
@@ -38,23 +38,43 @@
 //! implementation, so the deterministic simulation keeps pinning the
 //! exact semantics the wire serves.
 //!
-//! Datagrams arrive in *batches* through [`Transport::bind_batched`]
-//! (one `Vec<Datagram>` per reactor wakeup on
-//! [`indiss_net::BatchedTransport`]; singleton batches on the sim bus),
-//! and each admitted batch becomes one worker-pool job — so a
-//! 32-datagram wakeup pays one enqueue, one admission, and one reply
-//! flush
-//! ([`TransportSocket::send_batch`]) instead of 32 of each.
+//! # Which thread runs what
 //!
-//! Backpressure is bounded **per worker lane**, the queue that can
-//! actually grow: each lane (`channel lane % workers`) admits at most
-//! [`NetDriver::BACKPRESSURE`] undelivered datagrams into the pool;
-//! beyond that, the tail of the batch is dropped and every dropped
+//! Datagrams arrive in *batches* through [`Transport::bind_batched`]
+//! (one `Vec<Datagram>` per `recvmmsg` on
+//! [`indiss_net::BatchedTransport`]; singleton batches on the sim bus),
+//! on the transport's **delivery thread** — the one `indiss-reactor`
+//! thread for real sockets, the sending thread on the sim bus.
+//!
+//! * A channel that **cannot block** — SLP, a descriptor protocol, UPnP
+//!   without a fetcher — runs the batch to completion right there:
+//!   decode → parse → classify → compose, then one
+//!   [`TransportSocket::send_batch`] flush. No job box, queue node or
+//!   futex wake: at one datagram per wake-up that hand-off cost more
+//!   than the ≈2.5 µs of work it deferred. The kernel's socket buffer is
+//!   this channel's queue: arrivals wait there while the thread works,
+//!   the next `recvmmsg` takes them as one bigger batch, and what
+//!   overflows it the kernel drops (offered −
+//!   [`NetFrontStats::datagrams_received`]).
+//! * A channel that **can block** — UPnP with a [`DescriptionFetch`],
+//!   whose `NOTIFY` enrichment may sit in a TCP GET for its whole
+//!   timeout — hands each admitted batch to its [`crate::WorkerPool`]
+//!   lane as one job, so the delivery thread never waits on a peer.
+//!
+//! Either way one thread drains a channel, so per-channel FIFO holds,
+//! and both callers run the same `process_batch`. Non-blocking channels
+//! scale past one core by adding delivery threads (per-core reactors,
+//! ROADMAP item 5), not through the pool.
+//!
+//! Backpressure bounds the one queue that can still grow, a worker lane
+//! behind a blocking channel: each lane (`channel lane % workers`)
+//! admits at most [`NetDriver::BACKPRESSURE`] undelivered datagrams;
+//! beyond that the tail of the batch is dropped and every dropped
 //! datagram counted exactly once
 //! ([`NetFrontStats::dropped_backpressure`]) — the honest UDP behavior
-//! under overload, applied before the queue can grow without bound. A
-//! per-channel bound would let two channels sharing one worker queue
-//! 2× the intended budget on it.
+//! under overload. The budget is per lane, not per channel, so two
+//! queued channels sharing a worker cannot put 2× the backlog on it;
+//! the delivery thread takes none: it has no queue of its own.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -89,8 +109,9 @@ use crate::units::{slp, upnp, ParsedMessage};
 
 /// Resolves a UPnP `LOCATION:` URL to its description document, so a
 /// `NOTIFY` advert can be enriched with the endpoint and attributes the
-/// other SDPs need. Runs on a worker lane; implementations should bound
-/// their blocking time.
+/// other SDPs need. Always runs on a worker lane (`indiss-worker-*`),
+/// never on the transport's delivery thread; implementations should
+/// still bound their blocking time, which stalls that lane.
 pub trait DescriptionFetch: Send + Sync {
     /// Fetches the document at `url`, or `None` on any failure (the
     /// advert is then recorded unenriched, exactly like a failed fetch
@@ -230,17 +251,10 @@ impl WireCodec {
                 let (wire, requester, slp_url) = slp::compose_slp_reply(request, response)?;
                 // Record the attribute projection, as the unit does, so
                 // registry contents match the simulated run.
-                registry.set_projection(
+                registry.set_attr_projection(
                     SdpProtocol::Slp,
                     &slp_url,
-                    crate::registry::Projection {
-                        attrs: response
-                            .response_attrs()
-                            .into_iter()
-                            .map(|(t, v)| (t.to_owned(), v.to_owned()))
-                            .collect(),
-                        ..crate::registry::Projection::default()
-                    },
+                    response.response_attr_iter(),
                 );
                 Some((wire, requester))
             }
@@ -274,8 +288,9 @@ struct FrontCounters {
 pub struct NetFrontStats {
     /// Datagrams the transport delivered to the sinks.
     pub datagrams_received: u64,
-    /// Datagrams dropped because a channel's bounded in-flight budget
-    /// was full (honest UDP overload behavior).
+    /// Datagrams dropped because the worker lane a queued (blocking)
+    /// channel feeds had its in-flight budget full (honest UDP overload
+    /// behavior). Channels run on the delivery thread never count here.
     pub dropped_backpressure: u64,
     /// Request streams decoded from the wire.
     pub requests_decoded: u64,
@@ -303,6 +318,9 @@ pub struct NetFrontStats {
     /// Reads that found the socket drained (`EAGAIN`) — the reactor's
     /// edge-triggered loop terminator.
     pub recv_eagain: u64,
+    /// Datagrams longer than the transport's receive buffer, dropped at
+    /// the socket instead of reaching a decoder clipped.
+    pub recv_truncated: u64,
     /// Channels whose socket bound but could not join its protocol's
     /// multicast groups ([`TransportSocket::multicast_ready`] false):
     /// the channel still serves unicast, but passively detecting that
@@ -322,6 +340,14 @@ struct Channel {
     protocol: SdpProtocol,
     codec: WireCodec,
     lane: usize,
+    /// Set on the UPnP channel when a fetcher is configured. `fetch` can
+    /// block, so `Some` is also what makes a channel *queued* (batches
+    /// go to its worker lane, not run on the delivery thread).
+    fetcher: Option<Arc<dyn DescriptionFetch>>,
+    /// The tracer lane this channel records on — the worker's ring
+    /// (`lane % workers`) when queued, else a ring of its own
+    /// (`workers + lane`) — so every span ring has one writing thread.
+    span_lane: usize,
     socket: OnceLock<Arc<dyn TransportSocket>>,
     // Detection bookkeeping is per-channel atomics, not a shared map:
     // the sink runs on the transport's delivery thread, and a
@@ -343,13 +369,13 @@ struct NetDriverInner {
     transport: Arc<dyn Transport>,
     channels: Vec<Arc<Channel>>,
     /// In-flight datagram budget per *worker lane* (index
-    /// `channel.lane % len`): the worker queues are what backpressure
-    /// actually bounds, and two channels can share one worker.
+    /// `channel.lane % len`), spent only by queued channels: the worker
+    /// queues are what backpressure actually bounds, and two channels
+    /// can share one worker.
     lane_in_flight: Box<[AtomicUsize]>,
     epoch: Instant,
     lazy: bool,
     counters: FrontCounters,
-    fetcher: Option<Arc<dyn DescriptionFetch>>,
     /// The gateway's span recorder (disabled unless
     /// [`IndissConfig::trace`]); shared with the pool and the classify
     /// path so one snapshot covers the whole pipeline.
@@ -478,6 +504,7 @@ impl NetDriver {
         let gateway = ThreadedGateway::from_config(&config);
         let core = gateway.core();
         let tracer = core.tracer();
+        let workers = gateway.workers();
         let mut channels = Vec::with_capacity(config.units.len());
         for (lane, spec) in config.units.iter().enumerate() {
             let protocol = spec.protocol();
@@ -486,10 +513,16 @@ impl NetDriver {
                     "duplicate unit: each protocol may be configured at most once",
                 ));
             }
+            let codec = WireCodec::for_spec(spec)?;
+            // Only a UPnP NOTIFY is ever enriched, so only that channel
+            // gets the fetcher — and with it the worker-lane hand-off.
+            let fetcher = if matches!(codec, WireCodec::Upnp) { fetcher.clone() } else { None };
             channels.push(Arc::new(Channel {
                 protocol,
-                codec: WireCodec::for_spec(spec)?,
+                codec,
                 lane,
+                span_lane: if fetcher.is_some() { lane % workers } else { workers + lane },
+                fetcher,
                 socket: OnceLock::new(),
                 first_seen_nanos: AtomicU64::new(0),
                 last_seen_nanos: AtomicU64::new(0),
@@ -497,7 +530,6 @@ impl NetDriver {
                 active: std::sync::atomic::AtomicBool::new(!config.lazy_units),
             }));
         }
-        let workers = gateway.workers();
         let inner = Arc::new(NetDriverInner {
             gateway,
             core,
@@ -507,7 +539,6 @@ impl NetDriver {
             epoch: Instant::now(),
             lazy: config.lazy_units,
             counters: FrontCounters::default(),
-            fetcher,
             tracer,
             stats_server: Mutex::new(None),
         });
@@ -582,10 +613,11 @@ impl NetDriver {
         Ok(NetDriver { inner })
     }
 
-    /// The transport-seam entry point: runs on the transport's delivery
-    /// thread (one call per reactor wakeup on a batching transport), so
-    /// it only does detection bookkeeping and the bounded hand-off of
-    /// the whole batch — one pool job — to the worker lane.
+    /// The transport-seam entry point, on the transport's delivery
+    /// thread (one call per `recvmmsg` on a batching transport):
+    /// detection bookkeeping, then the batch runs to completion here or
+    /// — on a channel that can block — goes, bounded, to its worker lane
+    /// as one pool job.
     fn sink_batch(inner: &Arc<NetDriverInner>, channel: &Arc<Channel>, mut batch: Vec<Datagram>) {
         if batch.is_empty() {
             return;
@@ -609,6 +641,10 @@ impl NetDriver {
             // Fig. 5's lazy composition: first traffic activates the
             // protocol's pipeline (idempotent store).
             channel.active.store(true, Ordering::Relaxed);
+        }
+        if channel.fetcher.is_none() {
+            NetDriver::process_batch(inner, channel, batch);
+            return;
         }
         // Bounded backpressure into the pool, per worker lane: the
         // batch's admission is reserved here, released when the worker
@@ -634,11 +670,13 @@ impl NetDriver {
         });
     }
 
-    /// The per-batch pipeline, on the channel's worker lane: decode →
-    /// parse → classify each datagram, collecting composed replies, then
-    /// flush them in one [`TransportSocket::send_batch`] call.
+    /// The per-batch pipeline, on whichever single thread drains this
+    /// channel (the delivery thread, or the worker lane of a queued
+    /// channel): decode → parse → classify each datagram, collecting
+    /// composed replies, then flush them in one
+    /// [`TransportSocket::send_batch`] call.
     fn process_batch(inner: &NetDriverInner, channel: &Channel, batch: Vec<Datagram>) {
-        let mut replies: Vec<(Vec<u8>, SocketAddrV4)> = Vec::new();
+        let mut replies: Vec<(Vec<u8>, SocketAddrV4)> = Vec::with_capacity(batch.len());
         // Tracing is sampled one datagram per batch: the first datagram
         // gets per-phase spans plus the end-to-end histogram sample,
         // the rest pay only an untaken branch. The batch is the natural
@@ -655,7 +693,7 @@ impl NetDriver {
         let socket = channel.socket.get().expect("bound before traffic");
         let reply_start = inner.tracer.stamp();
         let sent = socket.send_batch(&replies);
-        inner.tracer.record(channel.lane, Phase::Reply, reply_start);
+        inner.tracer.record(channel.span_lane, Phase::Reply, reply_start);
         if sent > 0 {
             inner.counters.replies_sent.fetch_add(sent as u64, Ordering::Relaxed);
             inner.core.bridge_counters().add_responses_composed_n(sent as u64);
@@ -682,32 +720,26 @@ impl NetDriver {
         // `record*` a single branch while tracing is off, so the hot
         // path pays nothing measurable (the CI smoke gate pins the
         // tracing-ON overhead too).
-        let e2e_start = if trace_phases { inner.tracer.stamp() } else { SimTime::ZERO };
+        let stamp = || if trace_phases { inner.tracer.stamp() } else { SimTime::ZERO };
+        let span = |phase: Phase, start: SimTime| {
+            if trace_phases {
+                inner.tracer.record(channel.span_lane, phase, start);
+            }
+        };
+        let e2e_start = stamp();
         let decoded = channel.codec.decode(&dgram.payload, dgram.src, dgram.is_multicast());
-        if trace_phases {
-            inner.tracer.record(channel.lane, Phase::Decode, e2e_start);
-        }
+        span(Phase::Decode, e2e_start);
         match decoded {
             ParsedMessage::Request(request) => {
                 inner.counters.requests_decoded.fetch_add(1, Ordering::Relaxed);
-                let classify_start =
-                    if trace_phases { inner.tracer.stamp() } else { SimTime::ZERO };
+                let classify_start = stamp();
                 let decision = inner.core.classify(channel.protocol, &request, now);
-                if trace_phases {
-                    inner.tracer.record(channel.lane, Phase::Classify, classify_start);
-                }
+                span(Phase::Classify, classify_start);
                 match decision {
                     WarmDecision::CacheHit(response) => {
-                        let deliver_start =
-                            if trace_phases { inner.tracer.stamp() } else { SimTime::ZERO };
-                        if let Some((wire, requester)) =
-                            channel.codec.compose_reply(&registry, &request, &response)
-                        {
-                            replies.push((wire, requester));
-                        }
-                        if trace_phases {
-                            inner.tracer.record(channel.lane, Phase::Deliver, deliver_start);
-                        }
+                        let deliver_start = stamp();
+                        replies.extend(channel.codec.compose_reply(&registry, &request, &response));
+                        span(Phase::Deliver, deliver_start);
                     }
                     // "Nothing found" is silence on multicast SDPs; the
                     // negative/suppression accounting lives in the
@@ -720,7 +752,7 @@ impl NetDriver {
             }
             ParsedMessage::Advert(stream) => {
                 inner.counters.adverts_seen.fetch_add(1, Ordering::Relaxed);
-                let stream = inner.maybe_enrich(stream);
+                let stream = inner.maybe_enrich(channel, stream);
                 // Adverts with no identity to key on are ignored; the
                 // rest are recorded (and warm the cache when alive).
                 if registry.record_advert(channel.protocol, &stream, now)
@@ -749,10 +781,10 @@ impl NetDriver {
             }
         }
         // End-to-end datagram latency, bucketed per protocol port on
-        // this lane's ring (no cross-worker histogram contention).
+        // this channel's ring (no cross-thread histogram contention).
         if trace_phases {
-            let e2e_end = inner.tracer.stamp();
-            inner.tracer.record_protocol(channel.lane, channel.protocol.port(), e2e_start, e2e_end);
+            let port = channel.protocol.port();
+            inner.tracer.record_protocol(channel.span_lane, port, e2e_start, inner.tracer.stamp());
         }
     }
 
@@ -790,6 +822,7 @@ impl NetDriver {
             recv_batch_hist: io.recv_batch_hist,
             batch_sends_flushed: io.batch_sends_flushed,
             recv_eagain: io.recv_eagain,
+            recv_truncated: io.recv_truncated,
             multicast_join_misses: c.multicast_join_misses.load(Ordering::Relaxed),
             faults: io.faults,
         }
@@ -870,7 +903,10 @@ impl NetDriver {
         self.inner.stats_server.lock().expect("stats server lock").as_ref().map(StatsServer::addr)
     }
 
-    /// Blocks until every admitted datagram has been processed.
+    /// Blocks until every datagram handed to a worker lane has been
+    /// processed. Channels that run on the delivery thread are not
+    /// covered — they have nothing queued here; wait on their effect
+    /// (the reply, a counter) instead.
     pub fn join(&self) {
         self.inner.gateway.join();
     }
@@ -898,13 +934,15 @@ impl NetDriverInner {
     /// Enriches a UPnP advert that only points at a description (no
     /// endpoint) by fetching and parsing the document — the §2.4
     /// recursive process on the advert path.
-    fn maybe_enrich(&self, stream: EventStream) -> EventStream {
+    fn maybe_enrich(&self, channel: &Channel, stream: EventStream) -> EventStream {
+        // No fetcher: not the UPnP channel, or nothing to fetch with —
+        // and the delivery thread, which must not block, ends up here.
+        let Some(fetcher) = &channel.fetcher else {
+            return stream;
+        };
         if !stream.is_alive() || stream.service_url().is_some() {
             return stream;
         }
-        let Some(fetcher) = &self.fetcher else {
-            return stream;
-        };
         let location = stream.events().iter().find_map(|e| match e {
             crate::event::Event::UpnpDeviceUrlDesc(url) => Some(url.clone()),
             _ => None,
@@ -1201,14 +1239,18 @@ mod tests {
         assert_eq!(slot.load(Ordering::Relaxed), 10);
     }
 
-    /// Satellite regression: the backpressure budget is per worker
-    /// *lane*, shared by every channel the lane serves, and overflow
-    /// under batch ingestion drops the batch tail with each dropped
-    /// datagram counted exactly once — no double counts, no misses.
+    /// The backpressure budget bounds the worker lane a *queued* channel
+    /// feeds (UPnP with a fetcher): overflow under batch ingestion drops
+    /// the batch tail with each dropped datagram counted exactly once —
+    /// no double counts, no misses — while a channel that runs on the
+    /// delivery thread neither spends the budget nor waits behind it.
     #[test]
     fn backpressure_bounds_the_lane_and_counts_drops_exactly_once() {
-        // One worker ⇒ both channels (lanes 0 and 1) share lane slot 0.
-        let driver = NetDriver::builder(IndissConfig::slp_upnp()).start().expect("driver");
+        // One worker ⇒ the UPnP channel (lane 1) queues on lane slot 0.
+        let driver = NetDriver::builder(IndissConfig::slp_upnp())
+            .describe(Arc::new(StaticDescriptions::new()))
+            .start()
+            .expect("driver");
         assert_eq!(driver.inner.lane_in_flight.len(), 1);
         let slp = Arc::clone(&driver.inner.channels[0]);
         let upnp = Arc::clone(&driver.inner.channels[1]);
@@ -1226,15 +1268,24 @@ mod tests {
             let addr = SocketAddrV4::new(std::net::Ipv4Addr::LOCALHOST, 9999);
             (0..n).map(|_| Datagram { src: addr, dst: addr, payload: b"junk".to_vec() }).collect()
         };
-        // 600 on the SLP channel: all admitted.
-        NetDriver::sink_batch(&driver.inner, &slp, batch(600));
+        // 600 on the UPnP channel: all admitted.
+        NetDriver::sink_batch(&driver.inner, &upnp, batch(600));
         assert_eq!(driver.front_stats().dropped_backpressure, 0);
-        // 600 more on the *UPnP* channel: the shared lane budget has
-        // only 424 slots left — the 176-datagram tail drops, each
-        // counted once.
+        // 600 more: the lane budget has only 424 slots left — the
+        // 176-datagram tail drops, each counted once.
         NetDriver::sink_batch(&driver.inner, &upnp, batch(600));
         let stats = driver.front_stats();
         assert_eq!(stats.datagrams_received, 1200);
+        assert_eq!(stats.dropped_backpressure, 176);
+        assert_eq!(driver.inner.lane_in_flight[0].load(Ordering::Relaxed), NetDriver::BACKPRESSURE);
+        assert_eq!(stats.decode_rejected, 0, "the stalled lane has processed nothing yet");
+
+        // The SLP channel shares that worker's lane slot on paper, but
+        // runs right here: served in full behind a full, stalled lane,
+        // without touching its budget.
+        NetDriver::sink_batch(&driver.inner, &slp, batch(100));
+        let stats = driver.front_stats();
+        assert_eq!(stats.decode_rejected, 100, "processed before sink_batch returned");
         assert_eq!(stats.dropped_backpressure, 176);
         assert_eq!(driver.inner.lane_in_flight[0].load(Ordering::Relaxed), NetDriver::BACKPRESSURE);
 
@@ -1246,15 +1297,15 @@ mod tests {
         let stats = driver.front_stats();
         assert_eq!(stats.dropped_backpressure, 176, "drops are not re-counted");
         // The junk payloads decoded to nothing, once per admitted
-        // datagram.
-        assert_eq!(stats.decode_rejected, 1024);
+        // datagram (plus the SLP channel's 100).
+        assert_eq!(stats.decode_rejected, 1124);
         // With the budget free, a fresh batch is admitted in full.
-        NetDriver::sink_batch(&driver.inner, &slp, batch(100));
+        NetDriver::sink_batch(&driver.inner, &upnp, batch(100));
         driver.join();
         let stats = driver.front_stats();
-        assert_eq!(stats.datagrams_received, 1300);
+        assert_eq!(stats.datagrams_received, 1400);
         assert_eq!(stats.dropped_backpressure, 176);
-        assert_eq!(stats.decode_rejected, 1124);
+        assert_eq!(stats.decode_rejected, 1224);
         driver.shutdown();
     }
 

@@ -381,6 +381,7 @@ pub fn render_netfront_stats(out: &mut String, s: &NetFrontStats) {
     }
     line(out, "indiss_netfront_batch_sends_flushed", s.batch_sends_flushed);
     line(out, "indiss_netfront_recv_eagain", s.recv_eagain);
+    line(out, "indiss_netfront_recv_truncated", s.recv_truncated);
     line(out, "indiss_netfront_multicast_join_misses", s.multicast_join_misses);
     render_fault_stats(out, &s.faults);
 }

@@ -13,9 +13,12 @@
 //!   `&'static str`s of [`Phase`]; a recorded span is four relaxed
 //!   atomic stores into a preallocated ring slot plus one histogram
 //!   bump. A disabled tracer is a single branch.
-//! * **Single writer per ring.** Rings are indexed `lane % rings`, the
-//!   same routing the [`crate::WorkerPool`] uses to map work onto
-//!   threads, so each ring has exactly one writing thread. Readers may
+//! * **Single writer per ring.** Rings are indexed `lane % rings`, and
+//!   callers pick lanes so that each ring has exactly one writing
+//!   thread: worker `i` of the [`crate::WorkerPool`] (and whatever runs
+//!   on it) records at lane `i`; the wire front-end's delivery-thread
+//!   channels record at `workers + channel`, rings
+//!   [`crate::ThreadedGateway::from_config`] adds for them. Readers may
 //!   scrape concurrently: every slot is a seqlock (odd generation =
 //!   write in progress) and the exporter simply skips a slot it cannot
 //!   read consistently.

@@ -702,6 +702,35 @@ impl ServiceRegistry {
         self.shard_for(&key).projections.insert((protocol, key.clone()), projection);
     }
 
+    /// Stores `attrs` as the whole projection for `(protocol, key)` —
+    /// what an SLP composer records per answered URL so a follow-up
+    /// `AttrRqst` can be served. When the projection held already is
+    /// exactly that, it is only touched for recency (what a rewrite
+    /// would also do) and nothing is allocated: a warm hit re-answers the
+    /// same URL on every request.
+    pub(crate) fn set_attr_projection<'a>(
+        &self,
+        protocol: SdpProtocol,
+        key: impl Into<Symbol>,
+        attrs: impl Iterator<Item = (&'a str, &'a str)> + Clone,
+    ) {
+        let key = (protocol, key.into());
+        let mut shard = self.shard_for(&key.1);
+        let unchanged = shard.projections.get(&key).is_some_and(|held| {
+            let mut new = attrs.clone();
+            held.location.is_none()
+                && held.usn.is_none()
+                && held.document.is_none()
+                && held.service_id.is_none()
+                && held.attrs.iter().all(|(t, v)| new.next() == Some((t.as_str(), v.as_str())))
+                && new.next().is_none()
+        });
+        if !unchanged {
+            let attrs = attrs.map(|(t, v)| (t.to_owned(), v.to_owned())).collect();
+            shard.projections.insert(key, Projection { attrs, ..Projection::default() });
+        }
+    }
+
     // ------------------------------------------------------------------
     // Expiry
     // ------------------------------------------------------------------
@@ -1109,6 +1138,41 @@ mod tests {
         let p = reg.projection(SdpProtocol::Upnp, "clock").unwrap();
         assert_eq!(p.usn.as_deref(), Some("uuid:indiss-bridged-1"));
         assert!(reg.projection(SdpProtocol::Slp, "clock").is_none(), "scoped per protocol");
+    }
+
+    /// Whatever was held, the projection afterwards is exactly the given
+    /// attributes — the compare-first shortcut may only skip a write
+    /// that would change nothing (prefixes and other fields are not
+    /// "equal").
+    #[test]
+    fn attr_projection_ends_up_equal_to_a_plain_rewrite() {
+        let reg = ServiceRegistry::new(RegistryConfig::default());
+        let url = "service:clock:soap://h/c";
+        let held = |reg: &ServiceRegistry| reg.projection(SdpProtocol::Slp, url).expect("set");
+        let attrs = |pairs: &[(&str, &str)]| Projection {
+            attrs: pairs.iter().map(|(t, v)| ((*t).to_owned(), (*v).to_owned())).collect(),
+            ..Projection::default()
+        };
+        let two = [("model", "Clock"), ("name", "Timer")];
+
+        reg.set_attr_projection(SdpProtocol::Slp, url, two.iter().copied());
+        assert_eq!(held(&reg), attrs(&two));
+        reg.set_attr_projection(SdpProtocol::Slp, url, two.iter().copied());
+        assert_eq!(held(&reg), attrs(&two), "same again");
+        reg.set_attr_projection(SdpProtocol::Slp, url, two[..1].iter().copied());
+        assert_eq!(held(&reg), attrs(&two[..1]), "held is longer");
+        reg.set_attr_projection(SdpProtocol::Slp, url, two.iter().copied());
+        assert_eq!(held(&reg), attrs(&two), "held is a prefix");
+        reg.set_attr_projection(SdpProtocol::Slp, url, [("model", "Watch")].into_iter());
+        assert_eq!(held(&reg), attrs(&[("model", "Watch")]), "a value differs");
+
+        reg.set_projection(
+            SdpProtocol::Slp,
+            url,
+            Projection { service_id: Some(7), ..attrs(&two) },
+        );
+        reg.set_attr_projection(SdpProtocol::Slp, url, two.iter().copied());
+        assert_eq!(held(&reg), attrs(&two), "another field was set");
     }
 
     #[test]

@@ -158,8 +158,8 @@ impl SlpUnit {
 /// this runs on any thread — the multi-threaded gateway benchmark
 /// drives the exact parser the deployed SLP unit uses.
 fn srv_rqst_events(
-    header: &Header,
-    req: &indiss_slp::SrvRqst,
+    header: Header,
+    req: indiss_slp::SrvRqst,
     src: SocketAddrV4,
     multicast: bool,
 ) -> Option<EventStream> {
@@ -174,9 +174,9 @@ fn srv_rqst_events(
     body.push(Event::ServiceRequest);
     body.push(Event::SlpReqVersion(indiss_slp::SLP_VERSION));
     body.push(Event::SlpReqScope(req.scopes.as_str().into()));
-    body.push(Event::SlpReqPredicate(req.predicate.clone()));
+    body.push(Event::SlpReqPredicate(req.predicate));
     body.push(Event::SlpReqId(header.xid));
-    body.push(Event::ReqLang(header.lang.clone()));
+    body.push(Event::ReqLang(header.lang));
     body.push(Event::ServiceType(canonical));
     Some(body.build())
 }
@@ -190,8 +190,8 @@ pub fn parse_slp_request(
     multicast: bool,
 ) -> Option<EventStream> {
     let msg = Message::decode(payload).ok()?;
-    match &msg.body {
-        Body::SrvRqst(req) => srv_rqst_events(&msg.header, req, src, multicast),
+    match msg.body {
+        Body::SrvRqst(req) => srv_rqst_events(msg.header, req, src, multicast),
         _ => None,
     }
 }
@@ -236,12 +236,12 @@ fn slp_advert_events(
 /// construction. `AttrRqst` is `NotRelevant` here — answering it needs
 /// unit state.
 pub(crate) fn slp_message_events(
-    msg: &Message,
+    msg: Message,
     src: SocketAddrV4,
     multicast: bool,
 ) -> ParsedMessage {
-    match &msg.body {
-        Body::SrvRqst(req) => match srv_rqst_events(&msg.header, req, src, multicast) {
+    match msg.body {
+        Body::SrvRqst(req) => match srv_rqst_events(msg.header, req, src, multicast) {
             Some(stream) => ParsedMessage::Request(stream),
             None => ParsedMessage::NotRelevant, // infrastructure discovery
         },
@@ -280,7 +280,7 @@ pub(crate) fn slp_message_events(
 /// ([`slp_message_events`]): requests, adverts and observed responses.
 pub(crate) fn decode_slp_wire(payload: &[u8], src: SocketAddrV4, multicast: bool) -> ParsedMessage {
     match Message::decode(payload) {
-        Ok(msg) => slp_message_events(&msg, src, multicast),
+        Ok(msg) => slp_message_events(msg, src, multicast),
         Err(_) => ParsedMessage::NotRelevant,
     }
 }
@@ -425,7 +425,7 @@ impl Unit for SlpUnit {
                 ParsedMessage::NotRelevant
             };
         }
-        slp_message_events(&msg, dgram.src, dgram.is_multicast())
+        slp_message_events(msg, dgram.src, dgram.is_multicast())
     }
 
     fn execute_query(&self, world: &World, request: &EventStream, reply: Completion<EventStream>) {

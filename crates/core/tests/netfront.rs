@@ -8,11 +8,12 @@
 //! binding loopback sockets; the Sim halves always run.
 
 use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use indiss_core::{
-    Event, EventStream, IndissConfig, NetDriver, SdpDescriptor, SdpProtocol, StaticDescriptions,
+    chrome_trace_json, validate_chrome_trace, DescriptionFetch, Event, EventStream, IndissConfig,
+    NetDriver, Phase, SdpDescriptor, SdpProtocol, StaticDescriptions,
 };
 use indiss_net::{
     BatchedTransport, Datagram, SimTransport, Transport, TransportKind, TransportSocket,
@@ -55,6 +56,18 @@ fn slp_request(service_type: &str, xid: u16) -> Vec<u8> {
     )
     .encode()
     .expect("encodable")
+}
+
+/// Polls `done` (every millisecond, for at most three seconds) until it
+/// holds. Channels that run on the transport's delivery thread have
+/// nothing `NetDriver::join` could wait for, so tests wait on what the
+/// traffic does: a counter, a registry entry.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(3);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn clock_notify(location: &str) -> Vec<u8> {
@@ -111,11 +124,7 @@ fn run_script(transport: Arc<dyn Transport>) -> ScriptOutcome {
     // 1. The device advertises; wait until the gateway recorded it
     //    (the real-socket run crosses the reactor thread, so poll).
     client.send_to(&clock_notify(location), upnp_addr).expect("send NOTIFY");
-    let deadline = Instant::now() + Duration::from_secs(3);
-    while !driver.registry().contains_type("clock", driver.now()) {
-        assert!(Instant::now() < deadline, "advert never recorded");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("the advert is recorded", || driver.registry().contains_type("clock", driver.now()));
     driver.join();
 
     // 2. A warm SLP request: answered on the wire.
@@ -129,7 +138,7 @@ fn run_script(transport: Arc<dyn Transport>) -> ScriptOutcome {
 
     // 4. An absent type: fans nowhere, arms suppression, stays silent.
     client.send_to(&slp_request("service:toaster", 0x0AA2), slp_addr).expect("send absent");
-    driver.join();
+    wait_until("the absent-type request is classified", || driver.front_stats().cold_misses == 1);
     // Give a stray (incorrect) reply a moment to surface on real sockets.
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "absent type must be silence");
 
@@ -301,5 +310,206 @@ fn absent_type_storm_is_absorbed_on_the_wire() {
     assert_eq!(stats.negative_hits, 5, "storm absorbed: {stats:?}");
     assert_eq!(driver.front_stats().cold_misses, 1, "no further fan-out candidates");
     assert!(rx.try_recv().is_err(), "absent types answered with silence");
+    driver.shutdown();
+}
+
+/// A [`DescriptionFetch`] that notes which thread each fetch ran on.
+struct ThreadNotingFetch {
+    descriptions: StaticDescriptions,
+    threads: Mutex<Vec<String>>,
+}
+
+impl DescriptionFetch for ThreadNotingFetch {
+    fn fetch(&self, url: &str) -> Option<String> {
+        let thread = std::thread::current().name().unwrap_or("<unnamed>").to_owned();
+        self.threads.lock().expect("threads").push(thread);
+        self.descriptions.fetch(url)
+    }
+}
+
+/// The threading contract of the blocking seam: a description fetch may
+/// sit in a TCP GET for its whole timeout, so it only ever runs on a
+/// worker lane — never on the thread that delivers datagrams (the
+/// sender's on the sim bus, `indiss-reactor` on real sockets), which
+/// keeps serving SLP requests inline meanwhile.
+fn fetches_run_on_worker_threads(transport: Arc<dyn Transport>) {
+    const NOTIFIES: usize = 24;
+    let location = "http://10.88.0.2:4004/description.xml";
+    let fetcher = Arc::new(ThreadNotingFetch {
+        descriptions: StaticDescriptions::new(),
+        threads: Mutex::new(Vec::new()),
+    });
+    fetcher.descriptions.insert(location, &clock_description().to_xml());
+    let config = IndissConfig::builder().slp().upnp().workers(2).build();
+    let driver = NetDriver::builder(config)
+        .transport(Arc::clone(&transport))
+        .describe(Arc::clone(&fetcher) as Arc<dyn DescriptionFetch>)
+        .start()
+        .expect("driver");
+    let client = transport.bind_client(Arc::new(|_| {})).expect("client");
+    let upnp_addr = driver.channel_addr(SdpProtocol::Upnp).expect("upnp");
+    let slp_addr = driver.channel_addr(SdpProtocol::Slp).expect("slp");
+    for i in 0..NOTIFIES {
+        client.send_to(&clock_notify(location), upnp_addr).expect("send NOTIFY");
+        client.send_to(&slp_request("service:clock", i as u16), slp_addr).expect("send request");
+    }
+    wait_until("every NOTIFY was enriched", || {
+        driver.front_stats().descriptions_fetched == NOTIFIES as u64
+    });
+    driver.shutdown();
+
+    let threads = fetcher.threads.lock().expect("threads");
+    assert_eq!(threads.len(), NOTIFIES, "one fetch per alive NOTIFY");
+    for thread in threads.iter() {
+        assert!(thread.starts_with("indiss-worker-"), "fetch ran on thread {thread:?}");
+    }
+}
+
+#[test]
+fn description_fetch_never_runs_on_a_delivery_thread() {
+    fetches_run_on_worker_threads(Arc::new(SimTransport::new()));
+
+    let transport = Arc::new(BatchedTransport::with_offset(next_offset()));
+    if transport.bind_client(Arc::new(|_| {})).is_err() {
+        eprintln!("skipping real-socket half of the fetch-thread test: no loopback sockets");
+        return;
+    }
+    fetches_run_on_worker_threads(transport);
+}
+
+fn slp_registration(service_type: &str, url: &str, xid: u16) -> Vec<u8> {
+    indiss_slp::Message::new(
+        indiss_slp::Header::new(indiss_slp::FunctionId::SrvReg, xid, "en"),
+        indiss_slp::Body::SrvReg(indiss_slp::SrvReg {
+            entry: indiss_slp::UrlEntry::new(url, 1800),
+            service_type: service_type.to_owned(),
+            scopes: "DEFAULT".into(),
+            attrs: String::new(),
+        }),
+    )
+    .encode()
+    .expect("encodable")
+}
+
+/// Per-channel FIFO on real sockets: a registration for a type nobody
+/// has heard of, immediately followed on the same client socket by a
+/// request for it, is always answered with that type's URL — the
+/// request never overtakes the advert that makes it answerable. Sent in
+/// windows of 16 pairs so the reactor sees real batches, not only
+/// singletons.
+#[test]
+fn request_right_behind_its_registration_is_always_answered() {
+    const PAIRS: usize = 1000;
+    const WINDOW: usize = 16;
+    let config = IndissConfig::builder()
+        .slp()
+        .transport(TransportKind::Udp)
+        .port_offset(next_offset())
+        .build();
+    let driver = match NetDriver::builder(config).start() {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("skipping request_right_behind_its_registration_is_always_answered: {e}");
+            return;
+        }
+    };
+    let (tx, rx) = mpsc::channel::<Datagram>();
+    let client = driver
+        .transport()
+        .bind_client(Arc::new(move |d: Datagram| {
+            let _ = tx.send(d);
+        }))
+        .expect("client");
+    let slp_addr = driver.channel_addr(SdpProtocol::Slp).expect("slp");
+
+    let url_of = |i: usize| format!("service:fifo-{i}:lpr://10.0.3.1:{}", 1024 + i);
+    for window in (0..PAIRS).step_by(WINDOW) {
+        let pairs = window..(window + WINDOW).min(PAIRS);
+        for i in pairs.clone() {
+            let ty = format!("service:fifo-{i}");
+            client.send_to(&slp_registration(&ty, &url_of(i), 0), slp_addr).expect("send SrvReg");
+            client.send_to(&slp_request(&ty, i as u16), slp_addr).expect("send SrvRqst");
+        }
+        for _ in pairs {
+            let reply = rx
+                .recv_timeout(Duration::from_secs(3))
+                .unwrap_or_else(|_| panic!("a request of window {window} went unanswered"));
+            let msg = indiss_slp::Message::decode(&reply.payload).expect("valid SLP");
+            let indiss_slp::Body::SrvRply(rply) = msg.body else {
+                panic!("unexpected {:?}", msg.body);
+            };
+            assert_eq!(rply.urls[0].url, url_of(usize::from(msg.header.xid)));
+        }
+    }
+    let stats = driver.front_stats();
+    assert_eq!(stats.replies_sent, PAIRS as u64);
+    assert_eq!(stats.cold_misses, 0, "no request ran ahead of its registration");
+    driver.shutdown();
+}
+
+/// One worker, tracing on, SLP and UPnP traffic interleaved: the SLP
+/// pipeline runs on the delivery thread while the worker drains UPnP,
+/// so two threads record spans at once. Each must own its ring — with
+/// the delivery thread on the worker's ring (`lane % workers`) the
+/// unsynchronised head would lose or tear spans. Every span is
+/// accounted for, on the ring its thread owns, in sequence.
+#[test]
+fn inline_and_queued_channels_record_on_rings_of_their_own() {
+    const ROUNDS: usize = 200;
+    let config = IndissConfig::builder().slp().upnp().workers(1).trace(true).build();
+    let driver = NetDriver::builder(config)
+        .describe(Arc::new(StaticDescriptions::new()))
+        .start()
+        .expect("driver");
+    driver.registry().warm(
+        "clock",
+        EventStream::framed(vec![
+            Event::ServiceResponse,
+            Event::ResOk,
+            Event::ServiceType("clock".into()),
+            Event::ResTtl(1800),
+            Event::ResServUrl("soap://10.0.0.2:4004/service/timer/control".into()),
+        ]),
+        driver.now(),
+    );
+    let transport = driver.transport();
+    let client = transport.bind_client(Arc::new(|_| {})).expect("client");
+    let upnp_addr = driver.channel_addr(SdpProtocol::Upnp).expect("upnp");
+    let slp_addr = driver.channel_addr(SdpProtocol::Slp).expect("slp");
+    let notify = clock_notify("http://10.88.0.2:4004/description.xml");
+    for i in 0..ROUNDS {
+        // Queued: the worker picks this up while …
+        client.send_to(&notify, upnp_addr).expect("send NOTIFY");
+        // … this one is served right here, on the sending thread.
+        client.send_to(&slp_request("service:clock", i as u16), slp_addr).expect("send request");
+    }
+    driver.join();
+    assert_eq!(driver.front_stats().replies_sent, ROUNDS as u64, "every request was a warm hit");
+
+    // Singleton batches, so every datagram is sampled: a warm hit is
+    // decode + classify + deliver + reply, a NOTIFY is the pool's job
+    // span + decode.
+    let tracer = driver.tracer();
+    assert_eq!(tracer.spans_dropped(), 0, "rings sized for the whole run");
+    assert_eq!(tracer.spans_recorded(), (4 * ROUNDS + 2 * ROUNDS) as u64);
+    let spans = tracer.snapshot();
+    assert_eq!(spans.len(), 6 * ROUNDS, "no slot was unreadable or overwritten");
+    validate_chrome_trace(&chrome_trace_json(&spans)).expect("well-formed, ordered trace");
+
+    // Ring 0 is worker 0's; ring `workers + lane` = 1 is the SLP
+    // channel's; the queued UPnP channel leaves its own ring 2 unused.
+    for (ring, expect) in [(0, 2 * ROUNDS), (1, 4 * ROUNDS), (2, 0)] {
+        let mut seqs: Vec<u64> = spans.iter().filter(|s| s.ring == ring).map(|s| s.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs.len(), expect, "spans on ring {ring}");
+        assert!(seqs.iter().copied().eq(0..expect as u64), "ring {ring} skipped or reused a seq");
+    }
+    for span in &spans {
+        assert!(span.end >= span.start, "torn span {span:?}");
+        assert_eq!(usize::from(span.lane), span.ring, "one lane per ring: {span:?}");
+        if span.phase == Phase::Job {
+            assert_eq!(span.ring, 0, "job spans stay on the worker's ring: {span:?}");
+        }
+    }
     driver.shutdown();
 }

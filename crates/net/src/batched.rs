@@ -27,6 +27,12 @@ use crate::reactor::Reactor;
 #[cfg(all(target_os = "linux", feature = "epoll"))]
 use crate::sys;
 
+/// Largest datagram a channel accepts, on either engine: SDP discovery
+/// messages are far below an Ethernet MTU, but descriptor payloads can
+/// approach it. Longer ones are dropped and counted
+/// ([`IoStats::recv_truncated`]), never delivered clipped.
+pub(crate) const RECV_BUF: usize = 2048;
+
 /// How long a fallback recv thread blocks per `recv_from` before
 /// re-checking the shutdown flag.
 #[cfg(not(all(target_os = "linux", feature = "epoll")))]
@@ -180,12 +186,18 @@ impl BatchedTransport {
         let handle = std::thread::Builder::new()
             .name(format!("indiss-batched-{label}"))
             .spawn(move || {
-                let mut buf = vec![0u8; 8192];
+                // One byte over the limit: `recv_from` clips silently, so
+                // a read that fills the spare byte was a longer datagram.
+                let mut buf = vec![0u8; RECV_BUF + 1];
                 while !stop.load(Ordering::Relaxed) {
                     match socket.recv_from(&mut buf) {
                         Ok((len, SocketAddr::V4(src))) => {
                             counters.wakeups.fetch_add(1, Ordering::Relaxed);
                             counters.record_recv_batch(1);
+                            if len > RECV_BUF {
+                                counters.recv_truncated.fetch_add(1, Ordering::Relaxed);
+                                continue;
+                            }
                             sink(vec![crate::udp::Datagram {
                                 src,
                                 dst: local,
@@ -403,6 +415,33 @@ mod tests {
         let batched: u64 = stats.recv_batches();
         assert!(batched >= 1, "at least one recv batch recorded: {stats:?}");
         assert!(stats.batch_sends_flushed >= 2, "both send_batch calls flushed: {stats:?}");
+        transport.shutdown();
+    }
+
+    /// A datagram longer than [`RECV_BUF`] is counted and dropped at the
+    /// socket — a decoder never sees its clipped prefix — and the next,
+    /// fitting one on the same socket is delivered whole. Same contract
+    /// on the reactor and on the fallback engine.
+    #[test]
+    fn oversized_datagram_is_counted_not_delivered() {
+        let transport = BatchedTransport::with_offset(23_900);
+        let (sink, rx) = batch_sink();
+        let Ok(server) = transport.bind_batched(&BindSpec { port: 427, groups: vec![] }, sink)
+        else {
+            eprintln!("skipping oversized_datagram_is_counted_not_delivered: no loopback bind");
+            return;
+        };
+        let client = transport.bind_client_batched(Arc::new(|_| {})).unwrap();
+        client.send_to(&vec![7u8; 3_000], server.local_addr()).unwrap();
+        client.send_to(&vec![9u8; 1_400], server.local_addr()).unwrap();
+
+        // One socket, FIFO: once the second datagram is here the first
+        // has been through the engine.
+        let batch = rx.recv_timeout(Duration::from_secs(3)).expect("the fitting datagram arrives");
+        assert_eq!(batch.len(), 1, "only the fitting datagram is delivered");
+        assert_eq!(batch[0].payload, vec![9u8; 1_400]);
+        assert_eq!(transport.io_stats().expect("io stats").recv_truncated, 1);
+        assert!(rx.try_recv().is_err(), "nothing else was delivered");
         transport.shutdown();
     }
 

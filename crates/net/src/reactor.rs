@@ -5,10 +5,16 @@
 //! epoll instance (edge-triggered), and a single `indiss-reactor`
 //! thread drains readiness with `recvmmsg` into a pooled buffer slab —
 //! up to [`RECV_BATCH`] datagrams per syscall, looping until `EAGAIN`
-//! — then hands each batch to the channel's sink in one call. Replies
-//! flow the other way without touching the reactor: workers flush them
-//! with `sendmmsg` directly on the socket ([`crate::sys::send_batch`]),
-//! so the reactor thread is receive-only and never blocks on sends.
+//! — then hands each batch to the channel's sink in one call. The slab,
+//! its `iovec`/`mmsghdr` arrays and the epoll event buffer are built
+//! once when the thread starts; a wake-up allocates only the
+//! `Vec<Datagram>` (and payload copies) the sink receives. The sink runs
+//! on this thread and decides how far to take the batch here: the
+//! gateway runs channels that cannot block to completion, replies
+//! included. Replies never come back through the reactor — whoever
+//! composed them flushes with `sendmmsg` directly on the socket
+//! ([`crate::sys::send_batch`], nonblocking) — so the loop itself only
+//! ever waits in `epoll_wait`.
 //!
 //! Shutdown is explicit: an [`sys::EventFd`] registered alongside the
 //! sockets lets [`Reactor::shutdown`] (and channel registration) wake
@@ -22,15 +28,13 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::batched::RECV_BUF;
 use crate::sys;
 use crate::transport::{IoCounters, TransportBatchSink};
 use crate::udp::Datagram;
 
 /// Max datagrams drained per `recvmmsg` call (the slab size).
 pub(crate) const RECV_BATCH: usize = 64;
-/// Per-datagram buffer size; SDP discovery messages are far below an
-/// Ethernet MTU, but descriptor payloads can approach it.
-const RECV_BUF: usize = 2048;
 /// `epoll_wait` timeout between stop-flag checks. Long, because the
 /// wake eventfd — not this timeout — is what makes shutdown and
 /// registration prompt; the timeout only bounds a lost wakeup.
@@ -135,8 +139,8 @@ fn run(shared: &ReactorShared, mut epoll: sys::Epoll) {
         for fd in shared.pending.lock().expect("reactor pending poisoned").drain(..) {
             let _ = epoll.add_edge_in(fd, fd as u64);
         }
-        let tokens: Vec<u64> = match epoll.wait(WAIT_POLL_MS) {
-            Ok(tokens) => tokens.to_vec(),
+        let tokens = match epoll.wait(WAIT_POLL_MS) {
+            Ok(tokens) => tokens,
             Err(_) => break,
         };
         if tokens.is_empty() {
@@ -151,7 +155,7 @@ fn run(shared: &ReactorShared, mut epoll: sys::Epoll) {
             continue; // pure wake: no socket readiness to drain
         }
         counters.wakeups.fetch_add(1, Ordering::Relaxed);
-        for token in tokens {
+        for &token in tokens {
             if token == WAKE_TOKEN {
                 continue;
             }
@@ -177,11 +181,21 @@ fn drain_channel(channel: &ReactorChannel, slab: &mut sys::BatchIo, counters: &I
             Ok(n) => {
                 let mut batch = Vec::with_capacity(n);
                 for i in 0..n {
-                    let (src, payload) = slab.datagram(i);
-                    batch.push(Datagram { src, dst: channel.local, payload: payload.to_vec() });
+                    match slab.datagram(i) {
+                        Some((src, payload)) => batch.push(Datagram {
+                            src,
+                            dst: channel.local,
+                            payload: payload.to_vec(),
+                        }),
+                        None => {
+                            counters.recv_truncated.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
                 }
                 counters.record_recv_batch(n as u64);
-                (channel.sink)(batch);
+                if !batch.is_empty() {
+                    (channel.sink)(batch);
+                }
                 if n < RECV_BATCH {
                     // Short batch: the queue is (nearly) drained; one
                     // more recvmmsg would most likely just cost EAGAIN.

@@ -6,11 +6,14 @@
 //! (the crate is `#![deny(unsafe_code)]`; everything else forbids it),
 //! and every raw call is wrapped in a safe type before it leaves:
 //!
-//! * [`Epoll`] — `epoll_create1`/`epoll_ctl`/`epoll_wait` with a typed
+//! * [`Epoll`] — `epoll_create1`/`epoll_ctl`/`epoll_wait` with an owned
 //!   event buffer, used edge-triggered by the reactor.
-//! * [`BatchIo`] — pooled receive slab (buffers + `iovec`/`mmsghdr`
-//!   arrays rebuilt per call) driving `recvmmsg`, plus a `sendmmsg`
-//!   flush over caller-owned payloads.
+//! * [`BatchIo`] — pooled receive slab: buffers, `sockaddr` storage and
+//!   the `iovec`/`mmsghdr` arrays pointing into them, all built once and
+//!   kept for the slab's life, driving `recvmmsg`. A wake-up and a drain
+//!   allocate nothing here.
+//! * [`send_batch`] — a `sendmmsg` flush over caller-owned payloads,
+//!   staged in fixed stack arrays.
 //! * [`set_buffer_sizes`] — `SO_RCVBUF`/`SO_SNDBUF`, because a batched
 //!   loopback flood overruns the default 208 KiB receive queue long
 //!   before the reactor saturates.
@@ -27,6 +30,8 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use std::os::fd::RawFd;
 use std::os::raw::{c_int, c_uint, c_void};
 
+use crate::reactor::RECV_BATCH;
+
 // -- constants (uapi/linux) -------------------------------------------
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -38,6 +43,9 @@ pub const EPOLLIN: u32 = 0x001;
 pub const EPOLLET: u32 = 1 << 31;
 
 const MSG_DONTWAIT: c_int = 0x40;
+/// Set by the kernel in `msg_flags` when a datagram was longer than the
+/// buffer it was received into.
+const MSG_TRUNC: c_int = 0x20;
 const SOL_SOCKET: c_int = 1;
 const SO_SNDBUF: c_int = 7;
 const SO_RCVBUF: c_int = 8;
@@ -151,17 +159,26 @@ fn from_sockaddr(raw: &SockAddrIn) -> SocketAddrV4 {
 /// reactor uses the registered socket's fd).
 pub struct Epoll {
     fd: RawFd,
-    /// Reused event buffer for [`Epoll::wait`].
+    /// What `epoll_wait` writes into; one entry per event a wait can
+    /// return. Allocated once.
+    raw: Vec<EpollEvent>,
+    /// The tokens of the last [`Epoll::wait`], `raw.len()` reserved so
+    /// refilling it never allocates.
     events: Vec<u64>,
-    capacity: usize,
 }
 
 impl Epoll {
     /// Creates the epoll fd (`EPOLL_CLOEXEC`) with room for `capacity`
     /// events per wait.
     pub fn new(capacity: usize) -> io::Result<Epoll> {
+        let capacity = capacity.max(1);
+        // SAFETY: plain syscall, no pointers.
         let fd = check(unsafe { epoll_create1(EPOLL_CLOEXEC) }, "epoll_create1")?;
-        Ok(Epoll { fd, events: Vec::new(), capacity: capacity.max(1) })
+        Ok(Epoll {
+            fd,
+            raw: vec![EpollEvent { events: 0, data: 0 }; capacity],
+            events: Vec::with_capacity(capacity),
+        })
     }
 
     /// Registers `fd` for edge-triggered readability with `token`.
@@ -174,10 +191,11 @@ impl Epoll {
     /// Waits up to `timeout_ms` and returns the tokens of ready fds.
     /// An empty slice means the timeout elapsed.
     pub fn wait(&mut self, timeout_ms: i32) -> io::Result<&[u64]> {
-        let mut raw = vec![EpollEvent { events: 0, data: 0 }; self.capacity];
         let n = loop {
+            // SAFETY: `raw` is a live, exclusively borrowed buffer of
+            // exactly `raw.len()` events, the count the kernel is told.
             let r = unsafe {
-                epoll_wait(self.fd, raw.as_mut_ptr(), self.capacity as c_int, timeout_ms)
+                epoll_wait(self.fd, self.raw.as_mut_ptr(), self.raw.len() as c_int, timeout_ms)
             };
             if r >= 0 {
                 break r as usize;
@@ -188,7 +206,7 @@ impl Epoll {
             }
         };
         self.events.clear();
-        self.events.extend(raw[..n].iter().map(|ev| ev.data));
+        self.events.extend(self.raw[..n].iter().map(|ev| ev.data));
         Ok(&self.events)
     }
 }
@@ -247,99 +265,134 @@ impl Drop for EventFd {
 
 // -- batched datagram I/O ---------------------------------------------
 
-/// Pooled receive slab: `batch` fixed buffers plus the `sockaddr`
-/// storage `recvmmsg` scatters into. Allocated once per reactor and
-/// reused for every drain; payloads are copied out into `Vec`s at the
-/// seam (the slab never leaves this module).
+/// A one-message `mmsghdr` over `name` and `iov`.
+fn mmsg_hdr(name: *mut SockAddrIn, iov: *mut IoVec) -> MmsgHdr {
+    MmsgHdr {
+        msg_hdr: MsgHdr {
+            msg_name: name.cast::<c_void>(),
+            msg_namelen: std::mem::size_of::<SockAddrIn>() as u32,
+            msg_iov: iov,
+            msg_iovlen: 1,
+            msg_control: std::ptr::null_mut(),
+            msg_controllen: 0,
+            msg_flags: 0,
+        },
+        msg_len: 0,
+    }
+}
+
+/// Pooled receive slab: `batch` fixed buffers, the `sockaddr` storage
+/// `recvmmsg` scatters source addresses into, and the `iovec`/`mmsghdr`
+/// arrays that point at both, all allocated once in [`BatchIo::new`]
+/// and reused for every drain; payloads are copied out into `Vec`s at
+/// the seam (the slab never leaves this module).
+///
+/// The headers hold raw pointers into the other vectors' heap blocks,
+/// so no vector is resized after `new` (moving the `BatchIo` moves no
+/// heap block) and the slab is `!Send`: the reactor builds its own.
 pub struct BatchIo {
-    bufs: Vec<Vec<u8>>,
+    slab: Vec<u8>,
+    buf_size: usize,
     addrs: Vec<SockAddrIn>,
-    lens: Vec<usize>,
+    /// Pointed at by `hdrs[i].msg_hdr.msg_iov`; read only by the kernel.
+    _iovecs: Vec<IoVec>,
+    hdrs: Vec<MmsgHdr>,
 }
 
 impl BatchIo {
     /// A slab of `batch` buffers of `buf_size` bytes each.
     pub fn new(batch: usize, buf_size: usize) -> BatchIo {
         let batch = batch.max(1);
-        BatchIo {
-            bufs: (0..batch).map(|_| vec![0u8; buf_size.max(64)]).collect(),
-            addrs: vec![SockAddrIn::default(); batch],
-            lens: vec![0; batch],
-        }
+        let buf_size = buf_size.max(64);
+        let mut slab = vec![0u8; batch * buf_size];
+        let mut addrs = vec![SockAddrIn::default(); batch];
+        // Element pointers come from each vector's base pointer (in
+        // bounds: `i < batch`), not through `&mut` element borrows that
+        // the later safe reads would end.
+        let slab_base = slab.as_mut_ptr();
+        let mut iovecs: Vec<IoVec> = (0..batch)
+            .map(|i| IoVec {
+                iov_base: slab_base.wrapping_add(i * buf_size).cast::<c_void>(),
+                iov_len: buf_size,
+            })
+            .collect();
+        let (addr_base, iov_base) = (addrs.as_mut_ptr(), iovecs.as_mut_ptr());
+        let hdrs = (0..batch)
+            .map(|i| mmsg_hdr(addr_base.wrapping_add(i), iov_base.wrapping_add(i)))
+            .collect();
+        BatchIo { slab, buf_size, addrs, _iovecs: iovecs, hdrs }
     }
 
     /// One `recvmmsg` on nonblocking `fd`: up to the slab's batch size
     /// in a single syscall. Returns the number received; `WouldBlock`
     /// when the socket queue is empty (the edge-drain terminator).
     pub fn recv(&mut self, fd: RawFd) -> io::Result<usize> {
-        let batch = self.bufs.len();
-        let mut iovecs: Vec<IoVec> = self
-            .bufs
-            .iter_mut()
-            .map(|b| IoVec { iov_base: b.as_mut_ptr().cast::<c_void>(), iov_len: b.len() })
-            .collect();
-        let mut hdrs: Vec<MmsgHdr> = (0..batch)
-            .map(|i| MmsgHdr {
-                msg_hdr: MsgHdr {
-                    msg_name: (&mut self.addrs[i] as *mut SockAddrIn).cast::<c_void>(),
-                    msg_namelen: std::mem::size_of::<SockAddrIn>() as u32,
-                    msg_iov: &mut iovecs[i],
-                    msg_iovlen: 1,
-                    msg_control: std::ptr::null_mut(),
-                    msg_controllen: 0,
-                    msg_flags: 0,
-                },
-                msg_len: 0,
-            })
-            .collect();
+        // The kernel overwrites these three per message it delivers;
+        // left alone they would report the last call's.
+        for hdr in &mut self.hdrs {
+            hdr.msg_hdr.msg_namelen = std::mem::size_of::<SockAddrIn>() as u32;
+            hdr.msg_hdr.msg_flags = 0;
+            hdr.msg_len = 0;
+        }
+        // SAFETY: `hdrs` holds `hdrs.len()` headers whose pointers were
+        // taken in `new` from `addrs`, `_iovecs` and `slab`, heap blocks
+        // this struct owns and never reallocates, so all are live and in
+        // bounds (`iov_len` is the buffer's real size); `&mut self`
+        // keeps any other access out for the duration of the call.
         let n = check(
             unsafe {
-                recvmmsg(fd, hdrs.as_mut_ptr(), batch as c_uint, MSG_DONTWAIT, std::ptr::null_mut())
+                recvmmsg(
+                    fd,
+                    self.hdrs.as_mut_ptr(),
+                    self.hdrs.len() as c_uint,
+                    MSG_DONTWAIT,
+                    std::ptr::null_mut(),
+                )
             },
             "recvmmsg",
-        )? as usize;
-        for (i, hdr) in hdrs.iter().enumerate().take(n) {
-            self.lens[i] = (hdr.msg_len as usize).min(self.bufs[i].len());
-        }
-        Ok(n)
+        )?;
+        Ok(n as usize)
     }
 
     /// The `i`-th received datagram of the last [`BatchIo::recv`]:
-    /// source address and payload slice into the slab.
-    pub fn datagram(&self, i: usize) -> (SocketAddrV4, &[u8]) {
-        (from_sockaddr(&self.addrs[i]), &self.bufs[i][..self.lens[i]])
+    /// source address and payload slice into the slab. `None` when the
+    /// datagram was longer than its slab buffer (`MSG_TRUNC`): the bytes
+    /// held are a clipped prefix no decoder should see as a message.
+    pub fn datagram(&self, i: usize) -> Option<(SocketAddrV4, &[u8])> {
+        let hdr = &self.hdrs[i];
+        if hdr.msg_hdr.msg_flags & MSG_TRUNC != 0 {
+            return None;
+        }
+        let start = i * self.buf_size;
+        let len = (hdr.msg_len as usize).min(self.buf_size);
+        Some((from_sockaddr(&self.addrs[i]), &self.slab[start..start + len]))
     }
 }
 
-/// One `sendmmsg` flush of `msgs` on `fd`. Returns how many of the
-/// *leading* messages the kernel accepted (sendmmsg sends a prefix);
-/// `WouldBlock` when the send queue is full and nothing went out.
+/// One `sendmmsg` flush of the leading `msgs` (at most [`RECV_BATCH`]
+/// per call, staged in stack arrays) on `fd`. Returns how many of them
+/// the kernel accepted — `sendmmsg` sends a prefix, so callers loop on
+/// the rest; `WouldBlock` when the send queue is full and nothing went
+/// out.
 pub fn send_batch(fd: RawFd, msgs: &[(Vec<u8>, SocketAddrV4)]) -> io::Result<usize> {
+    let msgs = &msgs[..msgs.len().min(RECV_BATCH)];
     if msgs.is_empty() {
         return Ok(0);
     }
-    let mut addrs: Vec<SockAddrIn> = msgs.iter().map(|(_, dst)| to_sockaddr(*dst)).collect();
-    let mut iovecs: Vec<IoVec> = msgs
-        .iter()
-        .map(|(payload, _)| IoVec {
-            iov_base: payload.as_ptr().cast_mut().cast::<c_void>(),
-            iov_len: payload.len(),
-        })
-        .collect();
-    let mut hdrs: Vec<MmsgHdr> = (0..msgs.len())
-        .map(|i| MmsgHdr {
-            msg_hdr: MsgHdr {
-                msg_name: (&mut addrs[i] as *mut SockAddrIn).cast::<c_void>(),
-                msg_namelen: std::mem::size_of::<SockAddrIn>() as u32,
-                msg_iov: &mut iovecs[i],
-                msg_iovlen: 1,
-                msg_control: std::ptr::null_mut(),
-                msg_controllen: 0,
-                msg_flags: 0,
-            },
-            msg_len: 0,
-        })
-        .collect();
+    let mut addrs = [SockAddrIn::default(); RECV_BATCH];
+    let mut iovecs = [IoVec { iov_base: std::ptr::null_mut(), iov_len: 0 }; RECV_BATCH];
+    for (i, (payload, dst)) in msgs.iter().enumerate() {
+        addrs[i] = to_sockaddr(*dst);
+        iovecs[i].iov_base = payload.as_ptr().cast_mut().cast::<c_void>();
+        iovecs[i].iov_len = payload.len();
+    }
+    let (addr_base, iov_base) = (addrs.as_mut_ptr(), iovecs.as_mut_ptr());
+    let mut hdrs: [MmsgHdr; RECV_BATCH] =
+        std::array::from_fn(|i| mmsg_hdr(addr_base.wrapping_add(i), iov_base.wrapping_add(i)));
+    // SAFETY: the first `msgs.len()` headers point at this frame's
+    // `addrs`/`iovecs` entries and through them at the callers'
+    // payloads, all of which outlive the call; the kernel only reads
+    // the payloads (the `cast_mut` is the C signature's, not a write).
     let n = check(
         unsafe { sendmmsg(fd, hdrs.as_mut_ptr(), msgs.len() as c_uint, MSG_DONTWAIT) },
         "sendmmsg",
@@ -413,7 +466,7 @@ mod tests {
             match slab.recv(b.as_raw_fd()) {
                 Ok(n) => {
                     for i in 0..n {
-                        let (from, payload) = slab.datagram(i);
+                        let (from, payload) = slab.datagram(i).expect("fits the slab buffer");
                         assert_eq!(from, src);
                         got.push(payload.to_vec());
                     }
@@ -430,5 +483,67 @@ mod tests {
         }
         let expected: Vec<Vec<u8>> = msgs.into_iter().map(|(p, _)| p).collect();
         assert_eq!(got, expected, "payloads arrive intact and in order");
+    }
+
+    fn loopback_pair() -> Option<(std::net::UdpSocket, std::net::UdpSocket, SocketAddrV4)> {
+        let rx = std::net::UdpSocket::bind("127.0.0.1:0").ok()?;
+        rx.set_read_timeout(Some(std::time::Duration::from_secs(2))).unwrap();
+        let tx = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let std::net::SocketAddr::V4(dst) = rx.local_addr().unwrap() else {
+            unreachable!("bound v4")
+        };
+        Some((rx, tx, dst))
+    }
+
+    /// Blocks until `rx` is readable, then drains it with one `recv`.
+    fn recv_when_ready(slab: &mut BatchIo, rx: &std::net::UdpSocket, want: usize) {
+        // Loopback delivery is synchronous with `send`, but `peek`
+        // blocking on the read timeout keeps the test honest if not.
+        let mut probe = [0u8; 1];
+        rx.peek_from(&mut probe).expect("datagram arrives");
+        assert_eq!(slab.recv(rx.as_raw_fd()).expect("recvmmsg"), want);
+    }
+
+    /// The header arrays live as long as the slab, so every `recv` must
+    /// reset what the kernel wrote last time: a short datagram after a
+    /// long one, from another socket, reports its own length and source.
+    #[test]
+    fn persistent_headers_are_reset_between_recvs() {
+        let Some((rx, tx_a, dst)) = loopback_pair() else {
+            eprintln!("skipping persistent_headers_are_reset_between_recvs: no loopback bind");
+            return;
+        };
+        let tx_b = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let src = |s: &std::net::UdpSocket| match s.local_addr().unwrap() {
+            std::net::SocketAddr::V4(v4) => v4,
+            _ => unreachable!("bound v4"),
+        };
+        let mut slab = BatchIo::new(4, 2048);
+        let long = vec![0xAB; 1400];
+        for (socket, payload) in [(&tx_a, &long[..]), (&tx_b, &b"hi"[..]), (&tx_a, &b"again"[..])] {
+            socket.send_to(payload, dst).unwrap();
+            recv_when_ready(&mut slab, &rx, 1);
+            let (from, got) = slab.datagram(0).expect("fits the slab buffer");
+            assert_eq!(from, src(socket), "source of this datagram, not the last one");
+            assert_eq!(got, payload, "length of this datagram, not the last one");
+        }
+    }
+
+    /// A datagram longer than its slab buffer is flagged, not handed out
+    /// clipped; the flag does not stick to the slot for the next one.
+    #[test]
+    fn oversized_datagram_is_reported_truncated() {
+        let Some((rx, tx, dst)) = loopback_pair() else {
+            eprintln!("skipping oversized_datagram_is_reported_truncated: no loopback bind");
+            return;
+        };
+        let mut slab = BatchIo::new(4, 2048);
+        tx.send_to(&vec![7u8; 3000], dst).unwrap();
+        recv_when_ready(&mut slab, &rx, 1);
+        assert!(slab.datagram(0).is_none(), "3000 B into a 2048 B buffer is truncated");
+        tx.send_to(&vec![9u8; 1400], dst).unwrap();
+        recv_when_ready(&mut slab, &rx, 1);
+        let (_, payload) = slab.datagram(0).expect("1400 B fits");
+        assert_eq!(payload, &vec![9u8; 1400][..]);
     }
 }

@@ -58,8 +58,9 @@ pub enum TransportKind {
 /// call — the sink of the provided [`Transport::bind`] adapter.
 ///
 /// On real sockets the sink runs on the reactor thread (see
-/// [`TransportBatchSink`]), so it must be cheap: hand the datagram off
-/// (e.g. enqueue it on a worker lane) and return.
+/// [`TransportBatchSink`]), which serves every channel: it may do the
+/// datagram's work itself but must never block — anything that can wait
+/// (a TCP fetch, a full queue) is handed to another thread.
 pub type TransportSink = Arc<dyn Fn(Datagram) + Send + Sync + 'static>;
 
 /// Callback receiving a *batch* of datagrams a bound channel heard in
@@ -118,6 +119,9 @@ pub struct IoStats {
     pub batch_sends_flushed: u64,
     /// `EAGAIN` results that terminated an edge-drain loop.
     pub recv_eagain: u64,
+    /// Datagrams longer than the receive buffer: dropped at the socket
+    /// instead of being handed to a decoder clipped.
+    pub recv_truncated: u64,
     /// Faults injected by an armed [`crate::FaultTransport`] plan
     /// (all-zero when no fault plan wraps this transport).
     pub faults: FaultStats,
@@ -138,6 +142,7 @@ pub(crate) struct IoCounters {
     pub(crate) recv_batch_hist: [AtomicU64; 4],
     pub(crate) batch_flushes: AtomicU64,
     pub(crate) recv_eagain: AtomicU64,
+    pub(crate) recv_truncated: AtomicU64,
 }
 
 impl IoCounters {
@@ -163,6 +168,7 @@ impl IoCounters {
             ],
             batch_sends_flushed: self.batch_flushes.load(Ordering::Relaxed),
             recv_eagain: self.recv_eagain.load(Ordering::Relaxed),
+            recv_truncated: self.recv_truncated.load(Ordering::Relaxed),
             faults: FaultStats::default(),
         }
     }

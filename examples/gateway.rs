@@ -166,7 +166,12 @@ fn live_udp_gateway() {
         }
         Err(_) => println!("no reply arrived (unexpected)"),
     }
-    driver.join(); // let the worker finish its post-send accounting
+    // The reply can reach us before the reactor thread has booked it;
+    // give its post-send accounting a bounded moment.
+    let deadline = std::time::Instant::now() + Duration::from_millis(200);
+    while driver.stats().responses_composed == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     println!("\nbridge stats: {:?}", driver.stats());
     println!("wire stats:   {:?}", driver.front_stats());
     driver.shutdown();
