@@ -164,7 +164,7 @@ pub fn adaptation(seed: u64, background_traffic_bps: u64) -> AdaptationOutcome {
     let _clock = ClockDevice::start(&service_node, UpnpConfig::default()).expect("clock");
     let indiss = Indiss::deploy(
         &service_node,
-        IndissConfig::slp_upnp().with_adaptation(AdaptationPolicy {
+        IndissConfig::slp_upnp().adaptation(AdaptationPolicy {
             threshold_bytes_per_sec: 400.0,
             window: Duration::from_secs(2),
             check_interval: Duration::from_secs(2),
@@ -364,9 +364,9 @@ pub fn registry_churn(seed: u64, services: usize) -> ChurnOutcome {
     let indiss = Indiss::deploy(
         &gateway,
         IndissConfig::all_protocols()
-            .with_registry_capacity(record_capacity)
-            .with_cache_capacity(64)
-            .with_advert_ttl(Duration::from_secs(15)),
+            .registry_capacity(record_capacity)
+            .cache_capacity(64)
+            .advert_ttl(Duration::from_secs(15)),
     )
     .expect("indiss");
     let registry = indiss.registry();
@@ -568,9 +568,9 @@ pub fn request_storm(seed: u64, clients: usize, rounds: usize) -> StormOutcome {
     let indiss = Indiss::deploy(
         &gateway,
         IndissConfig::all_protocols()
-            .with_descriptor(SdpDescriptor::dns_sd())
-            .with_cache_ttl(Duration::from_secs(600))
-            .with_negative_ttl(Duration::from_secs(600)),
+            .descriptor(SdpDescriptor::dns_sd())
+            .cache_ttl(Duration::from_secs(600))
+            .negative_ttl(Duration::from_secs(600)),
     )
     .expect("indiss");
     let _clock = ClockDevice::start(&service_host, UpnpConfig::default()).expect("clock");

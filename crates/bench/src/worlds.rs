@@ -157,16 +157,6 @@ impl Digest {
     }
 }
 
-fn sum_faults(acc: &mut FaultStats, s: &FaultStats) {
-    acc.dropped += s.dropped;
-    acc.duplicated += s.duplicated;
-    acc.reordered += s.reordered;
-    acc.corrupted += s.corrupted;
-    acc.delayed += s.delayed;
-    acc.partitioned += s.partitioned;
-    acc.time_partitioned += s.time_partitioned;
-}
-
 /// The live state of one world run.
 struct Engine<'a> {
     spec: &'a WorldSpec,
@@ -604,7 +594,7 @@ fn run_world_sim(name: &str, spec: &WorldSpec) -> WorldOutcome {
             engine.digest.fold(v);
         }
         let fs = engine.lanes[g].fault_stats();
-        sum_faults(&mut faults, &fs);
+        faults.merge(&fs);
         engine.digest.fold(fs.total());
     }
     for v in [

@@ -202,7 +202,8 @@ pub struct IndissConfig {
 }
 
 impl IndissConfig {
-    /// An empty configuration (add units with the builder methods).
+    /// An empty configuration (add units and tune knobs with the fluent
+    /// setters below).
     pub fn new() -> Self {
         IndissConfig {
             units: Vec::new(),
@@ -233,9 +234,21 @@ impl IndissConfig {
         }
     }
 
-    /// Starts a fluent builder over an empty configuration.
-    pub fn builder() -> IndissConfigBuilder {
-        IndissConfigBuilder { config: IndissConfig::new() }
+    /// Starts a fluent chain over an empty configuration — the §3
+    /// composition surface:
+    /// `IndissConfig::builder().slp().descriptor(dns_sd).lazy().build()`.
+    /// The config is its own builder: every setter takes and returns it,
+    /// so the named constructors chain the same way
+    /// (`IndissConfig::slp_upnp().lazy()`).
+    pub fn builder() -> Self {
+        IndissConfig::new()
+    }
+
+    /// Ends a fluent chain. Structural validation (at least one unit, no
+    /// duplicate protocols) happens at [`crate::Indiss::deploy`], which
+    /// sees every config regardless of how it was built.
+    pub fn build(self) -> Self {
+        self
     }
 
     /// Parses the paper's textual `System SDP = { … }` configuration
@@ -252,242 +265,9 @@ impl IndissConfig {
         crate::config_lang::parse_system_sdp(text)
     }
 
-    /// Adds an SLP unit with defaults.
-    pub fn with_slp(mut self) -> Self {
-        self.units.push(UnitSpec::Slp(SlpUnitConfig::default()));
-        self
-    }
-
-    /// Adds a UPnP unit with defaults.
-    pub fn with_upnp(mut self) -> Self {
-        self.units.push(UnitSpec::Upnp(UpnpUnitConfig::default()));
-        self
-    }
-
-    /// Adds a Jini unit with defaults.
-    pub fn with_jini(mut self) -> Self {
-        self.units.push(UnitSpec::Jini(JiniUnitConfig::default()));
-        self
-    }
-
-    /// Adds a descriptor-driven unit (paper §3: a new SDP from data).
-    pub fn with_descriptor(mut self, descriptor: SdpDescriptor) -> Self {
-        self.units.push(UnitSpec::Descriptor(descriptor));
-        self
-    }
-
-    /// Adds a unit from an explicit spec.
-    pub fn with_unit(mut self, spec: UnitSpec) -> Self {
-        self.units.push(spec);
-        self
-    }
-
-    /// Disables the response cache.
-    pub fn without_cache(mut self) -> Self {
-        self.enable_cache = false;
-        self
-    }
-
-    /// Enables traffic-threshold adaptation.
-    pub fn with_adaptation(mut self, policy: AdaptationPolicy) -> Self {
-        self.adaptation = Some(policy);
-        self
-    }
-
-    /// Instantiates units lazily, on first detection of their protocol.
-    pub fn with_lazy_units(mut self) -> Self {
-        self.lazy_units = true;
-        self
-    }
-
-    /// Bounds the registry's service-record store.
-    pub fn with_registry_capacity(mut self, records: usize) -> Self {
-        self.registry_capacity = records;
-        self
-    }
-
-    /// Bounds the registry's response cache.
-    pub fn with_cache_capacity(mut self, responses: usize) -> Self {
-        self.cache_capacity = responses;
-        self
-    }
-
-    /// Sets the fallback TTL for adverts without their own `SDP_RES_TTL`.
-    pub fn with_advert_ttl(mut self, ttl: Duration) -> Self {
-        self.advert_ttl = Some(ttl);
-        self
-    }
-
-    /// Sets the cache entry TTL.
-    pub fn with_cache_ttl(mut self, ttl: Duration) -> Self {
-        self.cache_ttl = ttl;
-        self
-    }
-
-    /// Sets the negative-cache ("nothing found") TTL.
-    pub fn with_negative_ttl(mut self, ttl: Duration) -> Self {
-        self.negative_ttl = ttl;
-        self
-    }
-
-    /// Splits the registry into `shards` independently locked shards
-    /// (canonical-type-hash routed).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the worker-thread count for [`crate::ThreadedGateway`]s
-    /// built from this config.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Selects the transport a [`crate::NetDriver`] serves.
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Sets the interface the UDP transport binds.
-    pub fn with_bind(mut self, bind: Ipv4Addr) -> Self {
-        self.bind = bind;
-        self
-    }
-
-    /// Shifts every protocol port served by the UDP transport.
-    pub fn with_port_offset(mut self, offset: u16) -> Self {
-        self.port_offset = offset;
-        self
-    }
-
-    /// Sets the cold-path query timeout (the per-attempt deadline the
-    /// retry state machine arms).
-    pub fn with_query_timeout(mut self, timeout: Duration) -> Self {
-        self.query_timeout = timeout;
-        self
-    }
-
-    /// Sets how many times an unanswered fan-out is retried before
-    /// degrading.
-    pub fn with_query_retries(mut self, retries: u32) -> Self {
-        self.query_retries = retries;
-        self
-    }
-
-    /// Joins the federated mesh: this gateway binds `port` as its peer
-    /// identity and gossips with `peers`. Deploy the result through
-    /// `Indiss::deploy_mesh` with the transport the gateways share.
-    pub fn with_mesh(mut self, port: u16, peers: impl Into<Vec<u16>>) -> Self {
-        self.peer_port = Some(port);
-        self.peers = peers.into();
-        self
-    }
-
-    /// Sets the virtual time between mesh gossip rounds.
-    pub fn with_gossip_interval(mut self, interval: Duration) -> Self {
-        self.gossip_interval = interval;
-        self
-    }
-
-    /// Bounds the per-down-peer store-and-forward custody queue.
-    pub fn with_custody_capacity(mut self, adverts: usize) -> Self {
-        self.custody_capacity = adverts;
-        self
-    }
-
-    /// Turns on pipeline trace spans and latency histograms.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
-    /// Sets the per-lane span-ring capacity (implies nothing about
-    /// enablement; pair with [`IndissConfig::with_trace`]).
-    pub fn with_trace_capacity(mut self, spans: usize) -> Self {
-        self.trace_capacity = spans;
-        self
-    }
-
-    /// Serves the plaintext stats endpoint on `127.0.0.1:port`
-    /// (0 = ephemeral).
-    pub fn with_stats_port(mut self, port: u16) -> Self {
-        self.stats_port = Some(port);
-        self
-    }
-
-    /// The mesh plane this configuration implies: `None` until
-    /// [`IndissConfig::with_mesh`] (or a config-language `Peers` block)
-    /// named a peer port.
-    pub fn mesh_config(&self) -> Option<MeshConfig> {
-        let port = self.peer_port?;
-        Some(MeshConfig {
-            port,
-            peers: self.peers.clone(),
-            gossip_interval: self.gossip_interval,
-            custody_capacity: self.custody_capacity,
-            ..MeshConfig::default()
-        })
-    }
-
-    /// The registry bounds this configuration implies.
-    pub fn registry_config(&self) -> RegistryConfig {
-        RegistryConfig {
-            advert_capacity: self.registry_capacity,
-            cache_capacity: self.cache_capacity,
-            cache_ttl: self.cache_ttl,
-            default_advert_ttl: self.advert_ttl,
-            negative_ttl: self.negative_ttl,
-            shards: self.shards,
-        }
-    }
-
-    /// The paper's prototype configuration: a UPnP unit and an SLP unit.
-    /// A thin wrapper over the builder.
-    pub fn slp_upnp() -> Self {
-        IndissConfig::builder().slp().upnp().build()
-    }
-
-    /// The Fig. 5 configuration: SLP + UPnP + Jini. A thin wrapper over
-    /// the builder.
-    pub fn slp_upnp_jini() -> Self {
-        IndissConfig::builder().slp().upnp().jini().build()
-    }
-
-    /// Alias for [`IndissConfig::slp_upnp_jini`], kept for the evaluation
-    /// harness's vocabulary.
-    pub fn all_protocols() -> Self {
-        IndissConfig::slp_upnp_jini()
-    }
-
-    /// Protocols covered by the configured units.
-    pub fn protocols(&self) -> Vec<SdpProtocol> {
-        self.units.iter().map(UnitSpec::protocol).collect()
-    }
-}
-
-impl Default for IndissConfig {
-    /// Defaults to the paper's prototype (SLP + UPnP).
-    fn default() -> Self {
-        IndissConfig::slp_upnp()
-    }
-}
-
-/// Fluent builder over [`IndissConfig`] — the §3 composition surface:
-/// `IndissConfig::builder().slp().descriptor(dns_sd).lazy().build()`.
-///
-/// The named constructors ([`IndissConfig::slp_upnp`] and friends) are
-/// thin wrappers over this builder.
-#[derive(Debug, Clone)]
-pub struct IndissConfigBuilder {
-    config: IndissConfig,
-}
-
-impl IndissConfigBuilder {
     /// Adds a unit from an explicit spec.
     pub fn unit(mut self, spec: UnitSpec) -> Self {
-        self.config.units.push(spec);
+        self.units.push(spec);
         self
     }
 
@@ -519,147 +299,196 @@ impl IndissConfigBuilder {
     /// Instantiates units lazily, on first detection of their protocol
     /// (Fig. 5's dynamic composition).
     pub fn lazy(mut self) -> Self {
-        self.config.lazy_units = true;
+        self.lazy_units = true;
         self
     }
 
     /// Enables or disables the response cache.
     pub fn cache(mut self, enabled: bool) -> Self {
-        self.config.enable_cache = enabled;
+        self.enable_cache = enabled;
         self
     }
 
     /// Enables traffic-threshold adaptation.
     pub fn adaptation(mut self, policy: AdaptationPolicy) -> Self {
-        self.config.adaptation = Some(policy);
+        self.adaptation = Some(policy);
         self
     }
 
     /// Sets the multi-bridge suppression window.
     pub fn suppress_window(mut self, window: Duration) -> Self {
-        self.config.suppress_window = window;
+        self.suppress_window = window;
         self
     }
 
     /// Bounds the registry's service-record store.
     pub fn registry_capacity(mut self, records: usize) -> Self {
-        self.config.registry_capacity = records;
+        self.registry_capacity = records;
         self
     }
 
     /// Bounds the registry's response cache.
     pub fn cache_capacity(mut self, responses: usize) -> Self {
-        self.config.cache_capacity = responses;
+        self.cache_capacity = responses;
         self
     }
 
     /// Sets the cache entry TTL.
     pub fn cache_ttl(mut self, ttl: Duration) -> Self {
-        self.config.cache_ttl = ttl;
+        self.cache_ttl = ttl;
         self
     }
 
     /// Sets the fallback TTL for adverts without their own `SDP_RES_TTL`.
     pub fn advert_ttl(mut self, ttl: Duration) -> Self {
-        self.config.advert_ttl = Some(ttl);
+        self.advert_ttl = Some(ttl);
         self
     }
 
     /// Sets the negative-cache ("nothing found") TTL.
     pub fn negative_ttl(mut self, ttl: Duration) -> Self {
-        self.config.negative_ttl = ttl;
+        self.negative_ttl = ttl;
         self
     }
 
     /// Splits the registry into `shards` independently locked shards.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards.max(1);
+        self.shards = shards.max(1);
         self
     }
 
     /// Sets the worker-thread count for [`crate::ThreadedGateway`]s
     /// built from this config.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers.max(1);
+        self.workers = workers.max(1);
         self
     }
 
     /// Selects the transport a [`crate::NetDriver`] serves.
     pub fn transport(mut self, transport: TransportKind) -> Self {
-        self.config.transport = transport;
+        self.transport = transport;
         self
     }
 
     /// Sets the interface the UDP transport binds.
     pub fn bind(mut self, bind: Ipv4Addr) -> Self {
-        self.config.bind = bind;
+        self.bind = bind;
         self
     }
 
     /// Shifts every protocol port served by the UDP transport.
     pub fn port_offset(mut self, offset: u16) -> Self {
-        self.config.port_offset = offset;
+        self.port_offset = offset;
         self
     }
 
     /// Sets the cold-path query timeout (the per-attempt deadline the
     /// retry state machine arms).
     pub fn query_timeout(mut self, timeout: Duration) -> Self {
-        self.config.query_timeout = timeout;
+        self.query_timeout = timeout;
         self
     }
 
     /// Sets how many times an unanswered fan-out is retried before
     /// degrading.
     pub fn query_retries(mut self, retries: u32) -> Self {
-        self.config.query_retries = retries;
+        self.query_retries = retries;
         self
     }
 
-    /// Joins the federated mesh (see [`IndissConfig::with_mesh`]).
+    /// Joins the federated mesh: this gateway binds `port` as its peer
+    /// identity and gossips with `peers`. Deploy the result through
+    /// `Indiss::deploy_mesh` with the transport the gateways share.
     pub fn mesh(mut self, port: u16, peers: impl Into<Vec<u16>>) -> Self {
-        self.config.peer_port = Some(port);
-        self.config.peers = peers.into();
+        self.peer_port = Some(port);
+        self.peers = peers.into();
         self
     }
 
     /// Sets the virtual time between mesh gossip rounds.
     pub fn gossip_interval(mut self, interval: Duration) -> Self {
-        self.config.gossip_interval = interval;
+        self.gossip_interval = interval;
         self
     }
 
     /// Bounds the per-down-peer store-and-forward custody queue.
     pub fn custody_capacity(mut self, adverts: usize) -> Self {
-        self.config.custody_capacity = adverts;
+        self.custody_capacity = adverts;
         self
     }
 
     /// Turns on pipeline trace spans and latency histograms.
     pub fn trace(mut self, enabled: bool) -> Self {
-        self.config.trace = enabled;
+        self.trace = enabled;
         self
     }
 
-    /// Sets the per-lane span-ring capacity.
+    /// Sets the per-lane span-ring capacity (implies nothing about
+    /// enablement; pair with [`IndissConfig::trace()`]).
     pub fn trace_capacity(mut self, spans: usize) -> Self {
-        self.config.trace_capacity = spans;
+        self.trace_capacity = spans;
         self
     }
 
     /// Serves the plaintext stats endpoint on `127.0.0.1:port`
     /// (0 = ephemeral).
     pub fn stats_port(mut self, port: u16) -> Self {
-        self.config.stats_port = Some(port);
+        self.stats_port = Some(port);
         self
     }
 
-    /// Finishes the configuration. Structural validation (at least one
-    /// unit, no duplicate protocols) happens at
-    /// [`crate::Indiss::deploy`], which sees every config regardless of
-    /// how it was built.
-    pub fn build(self) -> IndissConfig {
-        self.config
+    /// The mesh plane this configuration implies: `None` until
+    /// [`IndissConfig::mesh`] (or a config-language `Peers` block) named
+    /// a peer port.
+    pub fn mesh_config(&self) -> Option<MeshConfig> {
+        let port = self.peer_port?;
+        Some(MeshConfig {
+            port,
+            peers: self.peers.clone(),
+            gossip_interval: self.gossip_interval,
+            custody_capacity: self.custody_capacity,
+            ..MeshConfig::default()
+        })
+    }
+
+    /// The registry bounds this configuration implies.
+    pub fn registry_config(&self) -> RegistryConfig {
+        RegistryConfig {
+            advert_capacity: self.registry_capacity,
+            cache_capacity: self.cache_capacity,
+            cache_ttl: self.cache_ttl,
+            default_advert_ttl: self.advert_ttl,
+            negative_ttl: self.negative_ttl,
+            shards: self.shards,
+        }
+    }
+
+    /// The paper's prototype configuration: a UPnP unit and an SLP unit.
+    pub fn slp_upnp() -> Self {
+        IndissConfig::new().slp().upnp()
+    }
+
+    /// The Fig. 5 configuration: SLP + UPnP + Jini.
+    pub fn slp_upnp_jini() -> Self {
+        IndissConfig::slp_upnp().jini()
+    }
+
+    /// Alias for [`IndissConfig::slp_upnp_jini`], kept for the evaluation
+    /// harness's vocabulary.
+    pub fn all_protocols() -> Self {
+        IndissConfig::slp_upnp_jini()
+    }
+
+    /// Protocols covered by the configured units.
+    pub fn protocols(&self) -> Vec<SdpProtocol> {
+        self.units.iter().map(UnitSpec::protocol).collect()
+    }
+}
+
+impl Default for IndissConfig {
+    /// Defaults to the paper's prototype (SLP + UPnP).
+    fn default() -> Self {
+        IndissConfig::slp_upnp()
     }
 }
 
@@ -669,7 +498,7 @@ mod tests {
 
     #[test]
     fn builder_accumulates_units() {
-        let cfg = IndissConfig::new().with_slp().with_upnp().with_jini();
+        let cfg = IndissConfig::new().slp().upnp().jini();
         assert_eq!(cfg.protocols(), vec![SdpProtocol::Slp, SdpProtocol::Upnp, SdpProtocol::Jini]);
     }
 
@@ -687,7 +516,7 @@ mod tests {
         assert!(!cfg.trace);
         assert_eq!(cfg.trace_capacity, 4096);
         assert!(cfg.stats_port.is_none());
-        let on = IndissConfig::slp_upnp().with_trace().with_trace_capacity(64).with_stats_port(0);
+        let on = IndissConfig::slp_upnp().trace(true).trace_capacity(64).stats_port(0);
         assert!(on.trace);
         assert_eq!(on.trace_capacity, 64);
         assert_eq!(on.stats_port, Some(0));
@@ -701,7 +530,7 @@ mod tests {
     #[test]
     fn mesh_config_is_off_until_a_peer_port_is_named() {
         assert!(IndissConfig::slp_upnp().mesh_config().is_none());
-        let cfg = IndissConfig::slp_upnp().with_mesh(7100, vec![7101, 7102]);
+        let cfg = IndissConfig::slp_upnp().mesh(7100, vec![7101, 7102]);
         let mesh = cfg.mesh_config().expect("mesh on");
         assert_eq!(mesh.port, 7100);
         assert_eq!(mesh.peers, vec![7101, 7102]);
@@ -720,10 +549,8 @@ mod tests {
 
     #[test]
     fn toggles_work() {
-        let cfg = IndissConfig::slp_upnp()
-            .without_cache()
-            .with_adaptation(AdaptationPolicy::default())
-            .with_lazy_units();
+        let cfg =
+            IndissConfig::slp_upnp().cache(false).adaptation(AdaptationPolicy::default()).lazy();
         assert!(!cfg.enable_cache);
         assert!(cfg.adaptation.is_some());
         assert!(cfg.lazy_units);

@@ -628,9 +628,9 @@ fn parse_unit(p: &mut Parser, config: IndissConfig) -> CoreResult<IndissConfig> 
         }
         p.expect_punct(';')?;
         return Ok(match protocol {
-            SdpProtocol::Upnp => config.with_upnp(),
-            SdpProtocol::Jini => config.with_jini(),
-            _ => config.with_slp(),
+            SdpProtocol::Upnp => config.upnp(),
+            SdpProtocol::Jini => config.jini(),
+            _ => config.slp(),
         });
     }
     // Not a built-in: the unit must be described.
@@ -640,7 +640,7 @@ fn parse_unit(p: &mut Parser, config: IndissConfig) -> CoreResult<IndissConfig> 
         )));
     }
     let descriptor = parse_descriptor_block(p, &name, port)?;
-    Ok(config.with_descriptor(descriptor))
+    Ok(config.descriptor(descriptor))
 }
 
 /// Parses the paper's `System SDP = { … }` language into an
@@ -663,7 +663,7 @@ pub(crate) fn parse_system_sdp(text: &str) -> CoreResult<IndissConfig> {
         if p.peek_keyword("Peers") {
             p.at += 1;
             let (own, peers) = parse_peers(&mut p)?;
-            config = config.with_mesh(own, peers);
+            config = config.mesh(own, peers);
             continue;
         }
         if p.peek_keyword("World") {

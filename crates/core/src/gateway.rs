@@ -1,24 +1,39 @@
-//! The thread-safe warm path: one decision tree for "can this request be
-//! answered from already-held knowledge?", shared by the deterministic
-//! simulation runtime ([`crate::Indiss`]) and the multi-threaded
-//! [`ThreadedGateway`].
+//! The gateway core: the one place the gateway **decides** (can this
+//! request be answered from what is already held?), **ingests** (what an
+//! advertisement or an overheard response teaches the registry) and
+//! **counts** (the bridge-path counters) — shared by both runtimes.
 //!
-//! The paper's §4.3 best case — a request answered in ~0.1 ms from the
-//! response cache — is a pure function of the [`ServiceRegistry`] plus
-//! three checks (positive cache, negative cache, suppression window).
-//! [`classify_request`] implements exactly that sequence; `Indiss` calls
-//! it inline inside the single-threaded simulation, while
-//! `ThreadedGateway` fans the same call out across a [`WorkerPool`]
-//! whose lanes are the registry's canonical-type shards, so requests for
-//! disjoint types are classified in parallel with no coordination
-//! beyond the one shard lock each touch.
+//! What [`GatewayCore`] owns: the sharded [`ServiceRegistry`], the
+//! [`BridgeCounters`], the two warm-path knobs of the config
+//! (`enable_cache`, `suppress_window`) and the [`Tracer`]. It is cheap
+//! to clone and `Send + Sync`.
 //!
-//! Bridge statistics are [`BridgeCounters`] — plain atomics — so both
-//! runtimes (and any number of worker threads) update one stats block
-//! without a lock and without lost updates; the registry's own counters
-//! are per-shard and merged on read.
+//! * [`GatewayCore::classify`] is the paper's §4.3 best case — a request
+//!   answered in ~0.1 ms from the response cache — as three checks under
+//!   one shard lock: positive cache, negative cache, suppression window.
+//! * [`GatewayCore::ingest_advert`] and [`GatewayCore::ingest_response`]
+//!   are the write side: record, count, warm the cache when caching is
+//!   on. One body, so the simulated and the live gateway cannot drift.
+//! * [`GatewayCore::stats`] reads [`BridgeStats`]: the core's atomics
+//!   plus the registry counters the view shows.
+//!
+//! What each runtime keeps, because only it can do it:
+//!
+//! * [`crate::Indiss`] (virtual time, `indiss_net::World`): the units
+//!   and the cold-path fan-out with its `QueryTracker`, delivery through
+//!   the origin unit's composer, mesh `publish`, arming sweep and mesh
+//!   timers, active-mode re-advertisement.
+//! * [`crate::NetDriver`] (threads, `indiss_net::Transport`): wire
+//!   decode, `DescriptionFetch` enrichment, opportunistic sweeps, reply
+//!   batching and its own wire counters; a cold request is counted, not
+//!   fanned out.
+//!
+//! [`ThreadedGateway`] is the core plus a [`WorkerPool`] whose lanes are
+//! the registry's canonical-type shards, so requests for disjoint types
+//! are classified in parallel with no coordination beyond the one shard
+//! lock each touches.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,88 +43,59 @@ use crate::config::IndissConfig;
 use crate::event::{EventStream, SdpProtocol};
 use crate::obs::{Tracer, WallClock};
 use crate::pool::WorkerPool;
-use crate::registry::{RegistryConfig, ServiceRegistry};
-use crate::runtime::BridgeStats;
+use crate::registry::{AdvertDisposition, RegistryConfig, RegistryStats, ServiceRegistry};
 
-/// Lock-free bridge-path counters, shared between a runtime handle and
-/// its workers. The registry-side numbers (cache/negative/record
-/// counters) live per shard in the [`ServiceRegistry`]; a full
-/// [`BridgeStats`] snapshot merges both, see
-/// [`BridgeCounters::snapshot`].
-#[derive(Debug, Default)]
-pub struct BridgeCounters {
-    pub(crate) requests_bridged: AtomicU64,
-    pub(crate) responses_composed: AtomicU64,
-    pub(crate) adverts_recorded: AtomicU64,
-    pub(crate) adverts_translated: AtomicU64,
-    pub(crate) requests_suppressed: AtomicU64,
-    pub(crate) queries_retried: AtomicU64,
-    pub(crate) queries_exhausted: AtomicU64,
-    pub(crate) stale_served: AtomicU64,
-}
-
-impl BridgeCounters {
-    pub(crate) fn add_requests_bridged(&self) {
-        self.requests_bridged.fetch_add(1, Ordering::Relaxed);
+indiss_net::counter_family! {
+    /// Counters exposed for tests and the evaluation harness. The
+    /// bridge-path counters are the core's own atomics
+    /// ([`BridgeCounters`]); the cache and record counters are shown
+    /// from the [`ServiceRegistry`]'s per-shard [`RegistryStats`].
+    pub struct BridgeStats {
+        /// Requests parsed and dispatched to foreign units.
+        requests_bridged,
+        /// Native responses composed back to requesters.
+        responses_composed,
+        /// Requests answered from the response cache.
+        cache_hits: RegistryStats,
+        /// The subset of `cache_hits` served from entries warmed by mesh
+        /// gossip ([`crate::RecordOrigin::Remote`]) rather than local SDP
+        /// traffic — the federated plane's "remote hit" counter.
+        remote_cache_hits: RegistryStats,
+        /// Cache lookups that found nothing usable.
+        cache_misses: RegistryStats,
+        /// Requests answered "nothing found" by the negative cache, without
+        /// fanning out to the units.
+        negative_hits: RegistryStats,
+        /// Cache entries evicted by the LRU capacity bound.
+        cache_evictions: RegistryStats,
+        /// Cache entries dropped because their TTL elapsed.
+        cache_expired: RegistryStats,
+        /// Advertisements recorded from the environment.
+        adverts_recorded,
+        /// Advertisements re-composed into other SDPs (active mode).
+        adverts_translated,
+        /// Requests dropped by the suppression window (multi-bridge loop
+        /// protection).
+        requests_suppressed,
+        /// Fan-out attempts re-issued because the per-query deadline fired
+        /// with no unit answer (each retry of one query counts once).
+        queries_retried,
+        /// Queries that exhausted every retry without a unit answer and
+        /// were degraded (a stale registry answer or a negative reply).
+        queries_exhausted,
+        /// Exhausted queries answered from stale registry knowledge
+        /// ([`crate::ServiceRegistry::stale_response`]) instead of a
+        /// negative reply.
+        stale_served,
+        /// Service records dropped because their TTL elapsed.
+        records_expired: RegistryStats,
+        /// Service records evicted by the registry capacity bound.
+        records_evicted: RegistryStats,
     }
-
-    pub(crate) fn add_responses_composed(&self) {
-        self.responses_composed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bulk variant for batched reply flushes (one atomic add per
-    /// flushed batch instead of one per reply).
-    pub(crate) fn add_responses_composed_n(&self, n: u64) {
-        self.responses_composed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_adverts_recorded(&self) {
-        self.adverts_recorded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_adverts_translated(&self) {
-        self.adverts_translated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_requests_suppressed(&self) {
-        self.requests_suppressed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_queries_retried(&self) {
-        self.queries_retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_queries_exhausted(&self) {
-        self.queries_exhausted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_stale_served(&self) {
-        self.stale_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds these counters with `registry`'s per-shard counters into
-    /// the public [`BridgeStats`] snapshot.
-    pub(crate) fn snapshot(&self, registry: &ServiceRegistry) -> BridgeStats {
-        let reg = registry.stats();
-        BridgeStats {
-            requests_bridged: self.requests_bridged.load(Ordering::Relaxed),
-            responses_composed: self.responses_composed.load(Ordering::Relaxed),
-            adverts_recorded: self.adverts_recorded.load(Ordering::Relaxed),
-            adverts_translated: self.adverts_translated.load(Ordering::Relaxed),
-            requests_suppressed: self.requests_suppressed.load(Ordering::Relaxed),
-            queries_retried: self.queries_retried.load(Ordering::Relaxed),
-            queries_exhausted: self.queries_exhausted.load(Ordering::Relaxed),
-            stale_served: self.stale_served.load(Ordering::Relaxed),
-            cache_hits: reg.cache_hits,
-            remote_cache_hits: reg.remote_cache_hits,
-            cache_misses: reg.cache_misses,
-            cache_evictions: reg.cache_evictions,
-            cache_expired: reg.cache_expired,
-            negative_hits: reg.negative_hits,
-            records_expired: reg.records_expired,
-            records_evicted: reg.records_evicted,
-        }
-    }
+    /// Lock-free bridge-path counters, shared between a runtime handle
+    /// and its workers: both runtimes (and any number of worker threads)
+    /// update one block without a lock and without lost updates.
+    atomics pub(crate) struct BridgeCounters;
 }
 
 /// What the warm path decided about one request.
@@ -129,65 +115,46 @@ pub enum WarmDecision {
     Bridge,
 }
 
-/// Classifies one request against the registry — positive cache first,
-/// then negative cache ("a recent fan-out for this (origin, type) found
-/// nothing"), then the suppression window (multi-bridge echo guard) —
-/// arming the window for answered/bridged requests. The registry runs
-/// the whole sequence under the type's single shard lock
-/// (`ServiceRegistry::warm_path`), so the decision is atomic even when
-/// worker threads race on one type; this function adds the bridge-path
-/// counters. This is *the* warm-path implementation: both runtimes call
-/// it, so the simulation tests pin the semantics the threaded gateway
-/// runs.
-pub(crate) fn classify_request(
-    registry: &ServiceRegistry,
-    counters: &BridgeCounters,
-    enable_cache: bool,
-    suppress_window: Duration,
-    origin: SdpProtocol,
-    request: &EventStream,
-    now: SimTime,
-) -> WarmDecision {
-    let stype = request.service_type_symbol();
-    let decision = registry.warm_path(origin, stype, now, enable_cache, now + suppress_window);
-    match decision {
-        WarmDecision::Suppressed => counters.add_requests_suppressed(),
-        WarmDecision::NegativeHit => {}
-        WarmDecision::CacheHit(_) | WarmDecision::Bridge => counters.add_requests_bridged(),
-    }
-    decision
-}
-
-/// The shareable half of the gateway: registry + counters + warm-path
-/// knobs, cheap to clone and `Send + Sync`, so worker jobs and request
-/// sources carry one handle instead of four.
+/// The shareable gateway: registry + counters + warm-path knobs +
+/// tracer, cheap to clone and `Send + Sync`, so both runtimes, worker
+/// jobs and request sources carry one handle. See the module docs for
+/// what it owns and what stays with each runtime.
 #[derive(Debug, Clone)]
 pub struct GatewayCore {
-    registry: ServiceRegistry,
-    counters: Arc<BridgeCounters>,
-    enable_cache: bool,
+    pub(crate) registry: ServiceRegistry,
+    pub(crate) counters: Arc<BridgeCounters>,
+    pub(crate) enable_cache: bool,
     suppress_window: Duration,
-    tracer: Tracer,
+    pub(crate) tracer: Tracer,
 }
 
 impl GatewayCore {
+    /// A core over a fresh registry with `config`'s bounds and warm-path
+    /// knobs. The tracer is the caller's: its clock and ring layout are
+    /// the runtime's business (one virtual-time ring for the simulation,
+    /// a ring per writing thread on the wire).
+    pub(crate) fn new(config: &IndissConfig, tracer: Tracer) -> GatewayCore {
+        GatewayCore {
+            registry: ServiceRegistry::new(config.registry_config()),
+            counters: Arc::new(BridgeCounters::default()),
+            enable_cache: config.enable_cache,
+            suppress_window: config.suppress_window,
+            tracer,
+        }
+    }
+
     /// The shared registry (cheap clone; usable from any thread, e.g. to
     /// record adverts or pre-warm responses).
     pub fn registry(&self) -> ServiceRegistry {
         self.registry.clone()
     }
 
-    /// The shared bridge-path counters (for in-crate request sources —
-    /// the wire front-end — that account composed replies and recorded
-    /// adverts exactly like the simulated runtime does).
-    pub(crate) fn bridge_counters(&self) -> &BridgeCounters {
-        &self.counters
-    }
-
-    /// Bridge statistics so far (atomic bridge-path counters merged with
-    /// the registry's per-shard counters).
+    /// Bridge statistics so far: the atomic bridge-path counters, plus
+    /// the registry counters [`BridgeStats`] shows, merged across shards.
     pub fn stats(&self) -> BridgeStats {
-        self.counters.snapshot(&self.registry)
+        let mut stats = self.counters.snapshot();
+        stats.absorb(self.registry.stats().fields());
+        stats
     }
 
     /// The gateway's span recorder (a disabled no-op unless the config
@@ -198,27 +165,85 @@ impl GatewayCore {
         self.tracer.clone()
     }
 
-    /// Classifies `request` on the calling thread — the warm-path
-    /// decision tree shared with [`crate::Indiss`]. Deliberately does
-    /// not stamp a span itself: request sources own the clock reads and
-    /// record sampled `classify` spans around this call (see
-    /// [`crate::NetDriver`]), keeping the uninstrumented path free of
-    /// tracing cost.
+    /// Classifies one request against the registry — positive cache
+    /// first, then negative cache ("a recent fan-out for this (origin,
+    /// type) found nothing"), then the suppression window (multi-bridge
+    /// echo guard) — arming the window for answered/bridged requests.
+    /// The registry runs the whole sequence under the type's single
+    /// shard lock (`ServiceRegistry::warm_path`), so the decision is
+    /// atomic even when worker threads race on one type; this adds the
+    /// bridge-path counters. It is *the* warm-path implementation: both
+    /// runtimes call it, so the simulation tests pin the semantics the
+    /// wire serves.
+    ///
+    /// Deliberately does not stamp a span itself: request sources own
+    /// the clock reads and record sampled `classify` spans around this
+    /// call (see [`crate::NetDriver`]), keeping the uninstrumented path
+    /// free of tracing cost.
     pub fn classify(
         &self,
         origin: SdpProtocol,
         request: &EventStream,
         now: SimTime,
     ) -> WarmDecision {
-        classify_request(
-            &self.registry,
-            &self.counters,
-            self.enable_cache,
-            self.suppress_window,
+        let stype = request.service_type_symbol();
+        let decision = self.registry.warm_path(
             origin,
-            request,
+            stype,
             now,
-        )
+            self.enable_cache,
+            now + self.suppress_window,
+        );
+        match decision {
+            WarmDecision::Suppressed => {
+                self.counters.requests_suppressed.fetch_add(1, Ordering::Relaxed);
+            }
+            WarmDecision::NegativeHit => {}
+            WarmDecision::CacheHit(_) | WarmDecision::Bridge => {
+                self.counters.requests_bridged.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        decision
+    }
+
+    /// Ingests one advertisement: records it, counts it, and — when
+    /// caching is on and the advert is alive with an endpoint — warms
+    /// the response cache with it. Only a stream with no identity to key
+    /// on is [`AdvertDisposition::Ignored`] (and not counted); a byebye
+    /// for an already-expired or evicted record is still a retraction
+    /// worth counting and, for the caller, forwarding.
+    pub fn ingest_advert(
+        &self,
+        origin: SdpProtocol,
+        advert: &EventStream,
+        now: SimTime,
+    ) -> AdvertDisposition {
+        let disposition = self.registry.record_advert(origin, advert, now);
+        if disposition == AdvertDisposition::Ignored {
+            return disposition;
+        }
+        self.counters.adverts_recorded.fetch_add(1, Ordering::Relaxed);
+        // A live advert with an endpoint answers requests the way an
+        // overheard response does.
+        if advert.is_alive() {
+            self.ingest_response(advert, now);
+        }
+        disposition
+    }
+
+    /// Ingests one overheard response: with caching on, a stream that
+    /// carries a service URL and a type warms the response cache.
+    /// Returns whether it did (the caller may then have a new expiry
+    /// deadline to arm or sweep for).
+    pub fn ingest_response(&self, response: &EventStream, now: SimTime) -> bool {
+        if !self.enable_cache || response.service_url().is_none() {
+            return false;
+        }
+        let Some(stype) = response.service_type_symbol() else {
+            return false;
+        };
+        self.registry.warm(stype, response.clone(), now);
+        true
     }
 }
 
@@ -231,9 +256,8 @@ impl GatewayCore {
 /// on the worker owning the request type's shard, preserving per-type
 /// ordering while disjoint types proceed in parallel. The deterministic
 /// simulation keeps using [`crate::Indiss`] (the virtual-time event loop
-/// is single-threaded by design); both share `classify_request` and
-/// the [`ServiceRegistry`], so their warm-path semantics are identical
-/// by construction.
+/// is single-threaded by design); both hold a [`GatewayCore`], so their
+/// warm-path semantics are identical by construction.
 ///
 /// `ThreadedGateway` is `Send + Sync`; clones of
 /// [`ThreadedGateway::registry`] and [`ThreadedGateway::core`] may be
@@ -259,16 +283,18 @@ impl ThreadedGateway {
     /// worker jobs, classifications and whatever the request source
     /// stamps through [`GatewayCore::tracer`].
     pub fn with_tracer(config: RegistryConfig, workers: usize, tracer: Tracer) -> ThreadedGateway {
-        ThreadedGateway {
-            core: GatewayCore {
-                registry: ServiceRegistry::new(config),
-                counters: Arc::new(BridgeCounters::default()),
-                enable_cache: true,
-                suppress_window: Duration::from_millis(600),
-                tracer: tracer.clone(),
-            },
-            pool: WorkerPool::with_tracer(workers, tracer),
-        }
+        // The inverse of `IndissConfig::registry_config`.
+        let config = IndissConfig {
+            registry_capacity: config.advert_capacity,
+            cache_capacity: config.cache_capacity,
+            cache_ttl: config.cache_ttl,
+            advert_ttl: config.default_advert_ttl,
+            negative_ttl: config.negative_ttl,
+            shards: config.shards,
+            workers,
+            ..IndissConfig::new()
+        };
+        ThreadedGateway::build(&config, tracer)
     }
 
     /// Creates a gateway from an [`IndissConfig`], honoring its
@@ -286,14 +312,12 @@ impl ThreadedGateway {
         } else {
             Tracer::disabled()
         };
+        ThreadedGateway::build(config, tracer)
+    }
+
+    fn build(config: &IndissConfig, tracer: Tracer) -> ThreadedGateway {
         ThreadedGateway {
-            core: GatewayCore {
-                registry: ServiceRegistry::new(config.registry_config()),
-                counters: Arc::new(BridgeCounters::default()),
-                enable_cache: config.enable_cache,
-                suppress_window: config.suppress_window,
-                tracer: tracer.clone(),
-            },
+            core: GatewayCore::new(config, tracer.clone()),
             pool: WorkerPool::with_tracer(config.workers, tracer),
         }
     }
@@ -319,18 +343,6 @@ impl ThreadedGateway {
     /// the registry's per-shard counters).
     pub fn stats(&self) -> BridgeStats {
         self.core.stats()
-    }
-
-    /// Classifies `request` inline on the calling thread (any thread).
-    /// Useful when the caller already sits on the right worker, or for
-    /// single-request paths that do not need queueing.
-    pub fn classify_now(
-        &self,
-        origin: SdpProtocol,
-        request: &EventStream,
-        now: SimTime,
-    ) -> WarmDecision {
-        self.core.classify(origin, request, now)
     }
 
     /// The worker lane serving `canonical_type` — its registry shard.
@@ -401,22 +413,25 @@ mod tests {
         let gw = ThreadedGateway::new(RegistryConfig::default(), 1);
         let t = SimTime::from_secs(1);
         // Nothing held: bridge (and the window arms).
-        assert_eq!(gw.classify_now(SdpProtocol::Slp, &request("clock"), t), WarmDecision::Bridge);
+        assert_eq!(
+            gw.core().classify(SdpProtocol::Slp, &request("clock"), t),
+            WarmDecision::Bridge
+        );
         // Inside the window: suppressed.
         assert_eq!(
-            gw.classify_now(SdpProtocol::Slp, &request("clock"), t),
+            gw.core().classify(SdpProtocol::Slp, &request("clock"), t),
             WarmDecision::Suppressed
         );
         // Warm: cache hit wins even inside the window.
         gw.registry().warm("clock", response("clock"), t);
         assert!(matches!(
-            gw.classify_now(SdpProtocol::Slp, &request("clock"), t),
+            gw.core().classify(SdpProtocol::Slp, &request("clock"), t),
             WarmDecision::CacheHit(_)
         ));
         // Negative memory answers absent types.
         gw.registry().warm_negative(SdpProtocol::Upnp, "ghost", t);
         assert_eq!(
-            gw.classify_now(SdpProtocol::Upnp, &request("ghost"), t),
+            gw.core().classify(SdpProtocol::Upnp, &request("ghost"), t),
             WarmDecision::NegativeHit
         );
         let stats = gw.stats();
@@ -461,5 +476,23 @@ mod tests {
         assert_send_sync::<GatewayCore>();
         assert_send_sync::<BridgeCounters>();
         assert_send_sync::<WarmDecision>();
+    }
+
+    /// The table is the contract (walks the generated name table): of
+    /// the sixteen counters the view shows, the twin backs the eight
+    /// the registry does not own, and `stats()` folds those in by name.
+    #[test]
+    fn bridge_family_table_is_the_contract() {
+        BridgeStats::assert_family_contract("indiss_bridge");
+        BridgeCounters::assert_twin_contract();
+        let mut registry = RegistryStats::default();
+        for (i, name) in RegistryStats::FIELDS.iter().enumerate() {
+            *registry.field_mut(name).unwrap() = 100 + i as u64;
+        }
+        let mut view = BridgeStats::default();
+        view.absorb(registry.fields());
+        let shown: Vec<_> = view.fields().filter(|(_, v)| *v != 0).collect();
+        assert_eq!(shown.len(), 8, "{shown:?}");
+        assert!(shown.iter().all(|(n, v)| registry.fields().any(|f| f == (*n, *v))), "{shown:?}");
     }
 }

@@ -121,11 +121,11 @@ mod tracker;
 mod units;
 
 pub use adapt::{AdaptationPolicy, DiscoveryMode};
-pub use config::{IndissConfig, IndissConfigBuilder, UnitSpec};
+pub use config::{IndissConfig, UnitSpec};
 pub use error::{CoreError, CoreResult};
 pub use event::{Event, EventKind, EventStream, EventStreamBuilder, ParserKind, SdpProtocol};
 pub use fsm::{Action, Fsm, FsmBuilder, Guard, Trigger};
-pub use gateway::{GatewayCore, ThreadedGateway, WarmDecision};
+pub use gateway::{BridgeStats, GatewayCore, ThreadedGateway, WarmDecision};
 pub use mesh::{MeshConfig, MeshNode, MeshStats};
 pub use monitor::{DetectionRecord, Monitor};
 pub use netfront::{
@@ -133,8 +133,7 @@ pub use netfront::{
     StaticDescriptions,
 };
 pub use obs::{
-    bucket_floor, bucket_of, chrome_trace_json, render_bridge_stats, render_interner_gauges,
-    render_mesh_stats, render_netfront_stats, render_registry_stats, render_tracer,
+    bucket_floor, bucket_of, chrome_trace_json, render_interner_gauges, render_tracer,
     validate_chrome_trace, AtomicHistogram, Clock, LatencyHistogram, Phase, SimClock, SpanSnapshot,
     StatsServer, Tracer, WallClock, HIST_BUCKETS, PHASES,
 };
@@ -144,7 +143,7 @@ pub use registry::{
     AdvertDisposition, PeerId, Projection, RecordOrigin, RegistryConfig, RegistryStats,
     RemoteDisposition, ServiceRecord, ServiceRegistry, SweepReport,
 };
-pub use runtime::{BridgeHandle, BridgeStats, Indiss};
+pub use runtime::{BridgeHandle, Indiss};
 pub use scenario::{
     LinkCut, MemoryBudget, MemorySettlement, MobilityMove, MutationSource, ScenarioRng,
     WorldAsserts, WorldFault, WorldSpec,

@@ -118,53 +118,54 @@ impl Default for MeshConfig {
     }
 }
 
-/// Counters the mesh maintains; every field is deterministic under
-/// `SimTransport`, so tests pin exact values and same-seed replays
-/// compare whole snapshots for equality.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MeshStats {
-    /// Gossip rounds run.
-    pub rounds_run: u64,
-    /// Digest frames sent (one per peer per round).
-    pub digests_sent: u64,
-    /// Digest frames received.
-    pub digests_received: u64,
-    /// Digests whose shard count differed from the peer's earlier
-    /// digests (the peer restarted with a different registry layout);
-    /// pull state was reset and the peer re-synced from scratch.
-    pub digest_resyncs: u64,
-    /// "Nothing to pull" replies sent.
-    pub acks_sent: u64,
-    /// "Nothing to pull" replies received.
-    pub acks_received: u64,
-    /// Pull requests sent after a digest showed news.
-    pub pulls_sent: u64,
-    /// Pull requests received and answered.
-    pub pulls_received: u64,
-    /// Records shipped to peers (pull answers and relays).
-    pub records_sent: u64,
-    /// Records received from peers.
-    pub records_received: u64,
-    /// Received records that changed the local registry.
-    pub records_applied: u64,
-    /// Received records already covered locally (the anti-entropy
-    /// fixpoint), unresolvable, or unkeyed.
-    pub records_stale: u64,
-    /// Datagrams that failed frame decoding or signature verification,
-    /// plus frames from unknown peers.
-    pub frames_rejected: u64,
-    /// Adverts placed into custody for down peers.
-    pub custody_enqueued: u64,
-    /// Custody entries dropped by the capacity bound (oldest first).
-    pub custody_dropped: u64,
-    /// Custody entries that lapsed before their peer returned.
-    pub custody_expired: u64,
-    /// Custody entries replayed as RELAY frames on reconnect.
-    pub custody_replayed: u64,
-    /// Transitions of a peer to down.
-    pub peers_down: u64,
-    /// Transitions of a peer back to up.
-    pub peers_reconnected: u64,
+indiss_net::counter_family! {
+    /// Counters the mesh maintains; every field is deterministic under
+    /// `SimTransport`, so tests pin exact values and same-seed replays
+    /// compare whole snapshots for equality.
+    pub struct MeshStats {
+        /// Gossip rounds run.
+        rounds_run,
+        /// Digest frames sent (one per peer per round).
+        digests_sent,
+        /// Digest frames received.
+        digests_received,
+        /// Digests whose shard count differed from the peer's earlier
+        /// digests (the peer restarted with a different registry layout);
+        /// pull state was reset and the peer re-synced from scratch.
+        digest_resyncs,
+        /// "Nothing to pull" replies sent.
+        acks_sent,
+        /// "Nothing to pull" replies received.
+        acks_received,
+        /// Pull requests sent after a digest showed news.
+        pulls_sent,
+        /// Pull requests received and answered.
+        pulls_received,
+        /// Records shipped to peers (pull answers and relays).
+        records_sent,
+        /// Records received from peers.
+        records_received,
+        /// Received records that changed the local registry.
+        records_applied,
+        /// Received records already covered locally (the anti-entropy
+        /// fixpoint), unresolvable, or unkeyed.
+        records_stale,
+        /// Datagrams that failed frame decoding or signature verification,
+        /// plus frames from unknown peers.
+        frames_rejected,
+        /// Adverts placed into custody for down peers.
+        custody_enqueued,
+        /// Custody entries dropped by the capacity bound (oldest first).
+        custody_dropped,
+        /// Custody entries that lapsed before their peer returned.
+        custody_expired,
+        /// Custody entries replayed as RELAY frames on reconnect.
+        custody_replayed,
+        /// Transitions of a peer to down.
+        peers_down,
+        /// Transitions of a peer back to up.
+        peers_reconnected,
+    }
 }
 
 /// Per-peer gossip state.
@@ -748,5 +749,18 @@ mod tests {
         let oversharded = node(wire::MAX_SHARDS + 1);
         assert!(matches!(oversharded.start(), Err(CoreError::BadConfig(_))));
         assert!(node(wire::MAX_SHARDS).start().is_ok(), "the cap itself is fine");
+    }
+
+    /// The table is the contract, and the mesh counters render under
+    /// `indiss_mesh_*` through the same generated code as every other
+    /// family (nothing scrapes them yet).
+    #[test]
+    fn mesh_family_table_is_the_contract() {
+        MeshStats::assert_family_contract("indiss_mesh");
+        let mut page = String::new();
+        MeshStats { records_applied: 3, ..MeshStats::default() }.render(&mut page, "indiss_mesh");
+        assert!(page.starts_with("indiss_mesh_rounds_run 0\n"), "{page}");
+        assert!(page.contains("\nindiss_mesh_records_applied 3\n"), "{page}");
+        assert_eq!(page.lines().count(), MeshStats::FIELDS.len());
     }
 }

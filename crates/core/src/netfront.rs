@@ -16,19 +16,20 @@
 //!   datagram ([`NetDriver::active_units`]);
 //! * **requests** are decoded by the same stateless parser tables the
 //!   deployed units use ([`crate::parse_slp_request`] and friends),
-//!   classified by the same [`crate::gateway::classify_request`]
-//!   decision tree, and answered from the registry's response cache
+//!   classified by the same [`GatewayCore::classify`] decision tree,
+//!   and answered from the registry's response cache
 //!   with natively composed replies written back out the socket that
 //!   heard them — the paper's §4.3 best case, end to end on the wire;
-//! * **advertisements** are recorded in the shared
-//!   [`crate::ServiceRegistry`] (warming the response cache when they
-//!   carry an endpoint); a UPnP `NOTIFY`, which only points at a
+//! * **advertisements** go through [`GatewayCore::ingest_advert`] —
+//!   recorded in the shared [`crate::ServiceRegistry`], counted, and
+//!   (with caching on) warming the response cache when they carry an
+//!   endpoint; a UPnP `NOTIFY`, which only points at a
 //!   description document, is enriched through a [`DescriptionFetch`]
 //!   — a real HTTP GET over TCP in a live deployment
 //!   ([`HttpDescriptionFetch`]), the §2.4 socket switch on actual
 //!   sockets;
-//! * **responses** observed on the wire warm the cache, as in the
-//!   simulation.
+//! * **responses** observed on the wire warm the cache
+//!   ([`GatewayCore::ingest_response`]), as in the simulation.
 //!
 //! What the front-end deliberately does *not* do is the cold-path
 //! fan-out: a request the registry cannot answer is counted
@@ -77,6 +78,7 @@
 //! the delivery thread takes none: it has no queue of its own.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::SocketAddrV4;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -84,7 +86,7 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use indiss_net::{
-    BatchedTransport, BindSpec, Datagram, FaultStats, SimTime, SimTransport, Transport,
+    BatchedTransport, BindSpec, Datagram, FaultStats, IoStats, SimTime, SimTransport, Transport,
     TransportKind, TransportSocket,
 };
 use indiss_upnp::DeviceDescription;
@@ -92,14 +94,10 @@ use indiss_upnp::DeviceDescription;
 use crate::config::{IndissConfig, UnitSpec};
 use crate::error::{CoreError, CoreResult};
 use crate::event::{EventStream, SdpProtocol};
-use crate::gateway::{GatewayCore, ThreadedGateway, WarmDecision};
+use crate::gateway::{BridgeStats, GatewayCore, ThreadedGateway, WarmDecision};
 use crate::monitor::DetectionRecord;
-use crate::obs::{
-    render_bridge_stats, render_interner_gauges, render_netfront_stats, render_registry_stats,
-    render_tracer, Phase, StatsServer, Tracer,
-};
+use crate::obs::{render_interner_gauges, render_tracer, Phase, StatsServer, Tracer};
 use crate::registry::{AdvertDisposition, ServiceRegistry};
-use crate::runtime::BridgeStats;
 use crate::units::descriptor::SdpDescriptor;
 use crate::units::{slp, upnp, ParsedMessage};
 
@@ -268,68 +266,75 @@ impl WireCodec {
 // Stats
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct FrontCounters {
-    datagrams_received: AtomicU64,
-    dropped_backpressure: AtomicU64,
-    requests_decoded: AtomicU64,
-    replies_sent: AtomicU64,
-    cold_misses: AtomicU64,
-    adverts_seen: AtomicU64,
-    descriptions_fetched: AtomicU64,
-    decode_rejected: AtomicU64,
-    multicast_join_misses: AtomicU64,
+indiss_net::counter_family! {
+    /// A snapshot of the wire front-end's own counters, with the
+    /// transport's reactor/batch-I/O counters beside them. Bridge-level
+    /// accounting (cache hits, suppression, recorded adverts …) is shared
+    /// with the gateway and read via [`NetDriver::stats`].
+    pub struct NetFrontStats {
+        /// Datagrams the transport delivered to the sinks.
+        datagrams_received,
+        /// Datagrams dropped because the worker lane a queued (blocking)
+        /// channel feeds had its in-flight budget full (honest UDP overload
+        /// behavior). Channels run on the delivery thread never count here.
+        dropped_backpressure,
+        /// Request streams decoded from the wire.
+        requests_decoded,
+        /// Native replies composed and written back out a socket.
+        replies_sent,
+        /// Requests the warm path could not answer (a simulation runtime
+        /// would fan these out to the foreign units).
+        cold_misses,
+        /// Advertisement streams decoded from the wire.
+        adverts_seen,
+        /// UPnP description documents fetched to enrich adverts.
+        descriptions_fetched,
+        /// Datagrams no parser table row matched.
+        decode_rejected,
+        /// Reactor wakeups (epoll returns with ≥1 ready channel, or recv
+        /// returns on the fallback threads). Zero on the sim bus, which has
+        /// no I/O engine — see [`Transport::io_stats`].
+        reactor_wakeups: IoStats,
+        /// Batched reply flushes (`sendmmsg` calls, or one per logical
+        /// flush on the fallback path).
+        batch_sends_flushed: IoStats,
+        /// Reads that found the socket drained (`EAGAIN`) — the reactor's
+        /// edge-triggered loop terminator.
+        recv_eagain: IoStats,
+        /// Datagrams longer than the transport's receive buffer, dropped at
+        /// the socket instead of reaching a decoder clipped.
+        recv_truncated: IoStats,
+        /// Channels whose socket bound but could not join its protocol's
+        /// multicast groups ([`TransportSocket::multicast_ready`] false):
+        /// the channel still serves unicast, but passively detecting that
+        /// protocol's multicast chatter will not work. Counted (and logged)
+        /// once per channel at bind time.
+        multicast_join_misses,
+    }
+    extra {
+        /// Histogram of datagrams drained per recv batch: buckets
+        /// `[≤1, 2–7, 8–31, 32+]`.
+        pub recv_batch_hist: [u64; 4],
+        /// Faults an [`indiss_net::FaultTransport`] in front of this driver
+        /// injected (all-zero when no fault layer is armed).
+        pub faults: FaultStats,
+    }
+    /// The front-end's own counters, bumped on whichever thread drains a
+    /// channel.
+    atomics struct FrontCounters;
 }
 
-/// A snapshot of the wire front-end's own counters. Bridge-level
-/// accounting (cache hits, suppression, recorded adverts …) is shared
-/// with the gateway and read via [`NetDriver::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetFrontStats {
-    /// Datagrams the transport delivered to the sinks.
-    pub datagrams_received: u64,
-    /// Datagrams dropped because the worker lane a queued (blocking)
-    /// channel feeds had its in-flight budget full (honest UDP overload
-    /// behavior). Channels run on the delivery thread never count here.
-    pub dropped_backpressure: u64,
-    /// Request streams decoded from the wire.
-    pub requests_decoded: u64,
-    /// Native replies composed and written back out a socket.
-    pub replies_sent: u64,
-    /// Requests the warm path could not answer (a simulation runtime
-    /// would fan these out to the foreign units).
-    pub cold_misses: u64,
-    /// Advertisement streams decoded from the wire.
-    pub adverts_seen: u64,
-    /// UPnP description documents fetched to enrich adverts.
-    pub descriptions_fetched: u64,
-    /// Datagrams no parser table row matched.
-    pub decode_rejected: u64,
-    /// Reactor wakeups (epoll returns with ≥1 ready channel, or recv
-    /// returns on the fallback threads). Zero on the sim bus, which has
-    /// no I/O engine — see [`Transport::io_stats`].
-    pub reactor_wakeups: u64,
-    /// Histogram of datagrams drained per recv batch: buckets
-    /// `[≤1, 2–7, 8–31, 32+]`.
-    pub recv_batch_hist: [u64; 4],
-    /// Batched reply flushes (`sendmmsg` calls, or one per logical
-    /// flush on the fallback path).
-    pub batch_sends_flushed: u64,
-    /// Reads that found the socket drained (`EAGAIN`) — the reactor's
-    /// edge-triggered loop terminator.
-    pub recv_eagain: u64,
-    /// Datagrams longer than the transport's receive buffer, dropped at
-    /// the socket instead of reaching a decoder clipped.
-    pub recv_truncated: u64,
-    /// Channels whose socket bound but could not join its protocol's
-    /// multicast groups ([`TransportSocket::multicast_ready`] false):
-    /// the channel still serves unicast, but passively detecting that
-    /// protocol's multicast chatter will not work. Counted (and logged)
-    /// once per channel at bind time.
-    pub multicast_join_misses: u64,
-    /// Faults an [`indiss_net::FaultTransport`] in front of this driver
-    /// injected (all-zero when no fault layer is armed).
-    pub faults: FaultStats,
+impl NetFrontStats {
+    /// The `indiss_netfront_*` block of the stats page followed by the
+    /// `indiss_fault_*` block: the counters, then the batch-size buckets,
+    /// then what a fault layer injected.
+    fn render_page(&self, out: &mut String) {
+        self.render(out, "indiss_netfront");
+        for (i, count) in self.recv_batch_hist.iter().enumerate() {
+            let _ = writeln!(out, "indiss_netfront_recv_batch_bucket_{i} {count}");
+        }
+        self.faults.render(out, "indiss_fault");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -376,12 +381,8 @@ struct NetDriverInner {
     epoch: Instant,
     lazy: bool,
     counters: FrontCounters,
-    /// The gateway's span recorder (disabled unless
-    /// [`IndissConfig::trace`]); shared with the pool and the classify
-    /// path so one snapshot covers the whole pipeline.
-    tracer: Tracer,
-    /// The scrape endpoint, when [`IndissConfig::stats_port`] asked for
-    /// one. Stopped on [`NetDriver::shutdown`] and on drop.
+    /// The scrape endpoint, when [`field@IndissConfig::stats_port`] asked
+    /// for one. Stopped on [`NetDriver::shutdown`] and on drop.
     stats_server: Mutex<Option<StatsServer>>,
 }
 
@@ -503,7 +504,6 @@ impl NetDriver {
 
         let gateway = ThreadedGateway::from_config(&config);
         let core = gateway.core();
-        let tracer = core.tracer();
         let workers = gateway.workers();
         let mut channels = Vec::with_capacity(config.units.len());
         for (lane, spec) in config.units.iter().enumerate() {
@@ -539,7 +539,6 @@ impl NetDriver {
             epoch: Instant::now(),
             lazy: config.lazy_units,
             counters: FrontCounters::default(),
-            tracer,
             stats_server: Mutex::new(None),
         });
 
@@ -592,11 +591,11 @@ impl NetDriver {
                 };
                 let driver = NetDriver { inner };
                 let mut out = String::new();
-                render_bridge_stats(&mut out, &driver.stats());
-                render_netfront_stats(&mut out, &driver.front_stats());
-                render_registry_stats(&mut out, &driver.registry().stats());
+                driver.stats().render(&mut out, "indiss_bridge");
+                driver.front_stats().render_page(&mut out);
+                driver.registry().stats().render(&mut out, "indiss_registry");
                 render_interner_gauges(&mut out);
-                render_tracer(&mut out, &driver.inner.tracer);
+                render_tracer(&mut out, &driver.inner.core.tracer);
                 out
             });
             let server = match StatsServer::start(port, render) {
@@ -691,12 +690,12 @@ impl NetDriver {
             return;
         }
         let socket = channel.socket.get().expect("bound before traffic");
-        let reply_start = inner.tracer.stamp();
+        let reply_start = inner.core.tracer.stamp();
         let sent = socket.send_batch(&replies);
-        inner.tracer.record(channel.span_lane, Phase::Reply, reply_start);
+        inner.core.tracer.record(channel.span_lane, Phase::Reply, reply_start);
         if sent > 0 {
             inner.counters.replies_sent.fetch_add(sent as u64, Ordering::Relaxed);
-            inner.core.bridge_counters().add_responses_composed_n(sent as u64);
+            inner.core.counters.responses_composed.fetch_add(sent as u64, Ordering::Relaxed);
         }
     }
 
@@ -720,10 +719,10 @@ impl NetDriver {
         // `record*` a single branch while tracing is off, so the hot
         // path pays nothing measurable (the CI smoke gate pins the
         // tracing-ON overhead too).
-        let stamp = || if trace_phases { inner.tracer.stamp() } else { SimTime::ZERO };
+        let stamp = || if trace_phases { inner.core.tracer.stamp() } else { SimTime::ZERO };
         let span = |phase: Phase, start: SimTime| {
             if trace_phases {
-                inner.tracer.record(channel.span_lane, phase, start);
+                inner.core.tracer.record(channel.span_lane, phase, start);
             }
         };
         let e2e_start = stamp();
@@ -753,26 +752,15 @@ impl NetDriver {
             ParsedMessage::Advert(stream) => {
                 inner.counters.adverts_seen.fetch_add(1, Ordering::Relaxed);
                 let stream = inner.maybe_enrich(channel, stream);
-                // Adverts with no identity to key on are ignored; the
-                // rest are recorded (and warm the cache when alive).
-                if registry.record_advert(channel.protocol, &stream, now)
+                if inner.core.ingest_advert(channel.protocol, &stream, now)
                     != AdvertDisposition::Ignored
                 {
-                    inner.core.bridge_counters().add_adverts_recorded();
-                    if stream.is_alive() && stream.service_url().is_some() {
-                        if let Some(t) = stream.service_type_symbol() {
-                            registry.warm(t, stream.clone(), now);
-                        }
-                    }
                     inner.opportunistic_sweep(&registry, now);
                 }
             }
             ParsedMessage::Response(stream) => {
-                if stream.service_url().is_some() {
-                    if let Some(t) = stream.service_type_symbol() {
-                        registry.warm(t, stream.clone(), now);
-                        inner.opportunistic_sweep(&registry, now);
-                    }
+                if inner.core.ingest_response(&stream, now) {
+                    inner.opportunistic_sweep(&registry, now);
                 }
             }
             ParsedMessage::Handled => {}
@@ -784,7 +772,8 @@ impl NetDriver {
         // this channel's ring (no cross-thread histogram contention).
         if trace_phases {
             let port = channel.protocol.port();
-            inner.tracer.record_protocol(channel.span_lane, port, e2e_start, inner.tracer.stamp());
+            let tracer = &inner.core.tracer;
+            tracer.record_protocol(channel.span_lane, port, e2e_start, tracer.stamp());
         }
     }
 
@@ -807,25 +796,12 @@ impl NetDriver {
     /// The front-end's own wire-level counters, merged with the
     /// transport's reactor/batch-I/O counters (zeros on the sim bus).
     pub fn front_stats(&self) -> NetFrontStats {
-        let c = &self.inner.counters;
         let io = self.inner.transport.io_stats().unwrap_or_default();
-        NetFrontStats {
-            datagrams_received: c.datagrams_received.load(Ordering::Relaxed),
-            dropped_backpressure: c.dropped_backpressure.load(Ordering::Relaxed),
-            requests_decoded: c.requests_decoded.load(Ordering::Relaxed),
-            replies_sent: c.replies_sent.load(Ordering::Relaxed),
-            cold_misses: c.cold_misses.load(Ordering::Relaxed),
-            adverts_seen: c.adverts_seen.load(Ordering::Relaxed),
-            descriptions_fetched: c.descriptions_fetched.load(Ordering::Relaxed),
-            decode_rejected: c.decode_rejected.load(Ordering::Relaxed),
-            reactor_wakeups: io.reactor_wakeups,
-            recv_batch_hist: io.recv_batch_hist,
-            batch_sends_flushed: io.batch_sends_flushed,
-            recv_eagain: io.recv_eagain,
-            recv_truncated: io.recv_truncated,
-            multicast_join_misses: c.multicast_join_misses.load(Ordering::Relaxed),
-            faults: io.faults,
-        }
+        let mut stats = self.inner.counters.snapshot();
+        stats.absorb(io.fields());
+        stats.recv_batch_hist = io.recv_batch_hist;
+        stats.faults = io.faults;
+        stats
     }
 
     /// Protocols seen so far, in first-detection order — the monitor's
@@ -891,13 +867,13 @@ impl NetDriver {
     }
 
     /// The gateway's pipeline span recorder — disabled (all no-ops)
-    /// unless the config set [`IndissConfig::trace`].
+    /// unless the config set [`field@IndissConfig::trace`].
     pub fn tracer(&self) -> Tracer {
-        self.inner.tracer.clone()
+        self.inner.core.tracer()
     }
 
     /// The scrape endpoint's bound address, when
-    /// [`IndissConfig::stats_port`] asked for one (the real port even
+    /// [`field@IndissConfig::stats_port`] asked for one (the real port even
     /// when configured with port 0).
     pub fn stats_addr(&self) -> Option<std::net::SocketAddr> {
         self.inner.stats_server.lock().expect("stats server lock").as_ref().map(StatsServer::addr)
@@ -1211,11 +1187,11 @@ mod tests {
     fn jini_and_empty_configs_are_rejected() {
         assert!(matches!(NetDriver::start(IndissConfig::new()), Err(CoreError::BadConfig(_))));
         assert!(matches!(
-            NetDriver::start(IndissConfig::new().with_jini()),
+            NetDriver::start(IndissConfig::new().jini()),
             Err(CoreError::BadConfig(_))
         ));
         assert!(matches!(
-            NetDriver::start(IndissConfig::new().with_slp().with_slp()),
+            NetDriver::start(IndissConfig::new().slp().slp()),
             Err(CoreError::BadConfig(_))
         ));
     }
@@ -1332,5 +1308,18 @@ mod tests {
         assert_send_sync::<NetFrontStats>();
         assert_send_sync::<StaticDescriptions>();
         assert_send_sync::<HttpDescriptionFetch>();
+    }
+
+    /// The table is the contract (walks the generated name table); the
+    /// transport's four scalars reach the view by name.
+    #[test]
+    fn netfront_family_table_is_the_contract() {
+        NetFrontStats::assert_family_contract("indiss_netfront");
+        FrontCounters::assert_twin_contract();
+        let io = IoStats { reactor_wakeups: 5, recv_truncated: 7, ..IoStats::default() };
+        let mut view = NetFrontStats::default();
+        view.absorb(io.fields());
+        assert_eq!((view.reactor_wakeups, view.recv_truncated), (5, 7));
+        assert_eq!(view.fields().filter(|(_, v)| *v != 0).count(), 2);
     }
 }

@@ -16,13 +16,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use indiss_http::{Request, Response};
-use indiss_net::FaultStats;
 
 use crate::error::{CoreError, CoreResult};
-use crate::mesh::MeshStats;
-use crate::netfront::NetFrontStats;
-use crate::registry::RegistryStats;
-use crate::runtime::BridgeStats;
 use crate::symbol::Symbol;
 
 use super::hist::LatencyHistogram;
@@ -335,104 +330,16 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 // ---------------------------------------------------------------------
 // Plaintext stats rendering: `name value` lines, one metric per line,
 // fixed order. The format is Prometheus-flavoured but deliberately
-// minimal — a scrape is `GET /metrics`, the body is ASCII.
+// minimal — a scrape is `GET /metrics`, the body is ASCII. The counter
+// families render themselves (`indiss_net::counter_family!` generates
+// `render(out, prefix)` from each family's one field list); what is
+// left here are the gauges and histograms that are not counters.
 
 fn line(out: &mut String, name: &str, value: u64) {
     out.push_str(name);
     out.push(' ');
     out.push_str(itoa(value).as_str());
     out.push('\n');
-}
-
-/// Renders the bridge-path counters.
-pub fn render_bridge_stats(out: &mut String, s: &BridgeStats) {
-    line(out, "indiss_bridge_requests_bridged", s.requests_bridged);
-    line(out, "indiss_bridge_responses_composed", s.responses_composed);
-    line(out, "indiss_bridge_cache_hits", s.cache_hits);
-    line(out, "indiss_bridge_remote_cache_hits", s.remote_cache_hits);
-    line(out, "indiss_bridge_cache_misses", s.cache_misses);
-    line(out, "indiss_bridge_negative_hits", s.negative_hits);
-    line(out, "indiss_bridge_cache_evictions", s.cache_evictions);
-    line(out, "indiss_bridge_cache_expired", s.cache_expired);
-    line(out, "indiss_bridge_adverts_recorded", s.adverts_recorded);
-    line(out, "indiss_bridge_adverts_translated", s.adverts_translated);
-    line(out, "indiss_bridge_requests_suppressed", s.requests_suppressed);
-    line(out, "indiss_bridge_queries_retried", s.queries_retried);
-    line(out, "indiss_bridge_queries_exhausted", s.queries_exhausted);
-    line(out, "indiss_bridge_stale_served", s.stale_served);
-    line(out, "indiss_bridge_records_expired", s.records_expired);
-    line(out, "indiss_bridge_records_evicted", s.records_evicted);
-}
-
-/// Renders the wire front-end counters (reactor and fault blocks
-/// included).
-pub fn render_netfront_stats(out: &mut String, s: &NetFrontStats) {
-    line(out, "indiss_netfront_datagrams_received", s.datagrams_received);
-    line(out, "indiss_netfront_dropped_backpressure", s.dropped_backpressure);
-    line(out, "indiss_netfront_requests_decoded", s.requests_decoded);
-    line(out, "indiss_netfront_replies_sent", s.replies_sent);
-    line(out, "indiss_netfront_cold_misses", s.cold_misses);
-    line(out, "indiss_netfront_adverts_seen", s.adverts_seen);
-    line(out, "indiss_netfront_descriptions_fetched", s.descriptions_fetched);
-    line(out, "indiss_netfront_decode_rejected", s.decode_rejected);
-    line(out, "indiss_netfront_reactor_wakeups", s.reactor_wakeups);
-    for (i, count) in s.recv_batch_hist.iter().enumerate() {
-        line(out, &format!("indiss_netfront_recv_batch_bucket_{i}"), *count);
-    }
-    line(out, "indiss_netfront_batch_sends_flushed", s.batch_sends_flushed);
-    line(out, "indiss_netfront_recv_eagain", s.recv_eagain);
-    line(out, "indiss_netfront_recv_truncated", s.recv_truncated);
-    line(out, "indiss_netfront_multicast_join_misses", s.multicast_join_misses);
-    render_fault_stats(out, &s.faults);
-}
-
-fn render_fault_stats(out: &mut String, s: &FaultStats) {
-    line(out, "indiss_fault_dropped", s.dropped);
-    line(out, "indiss_fault_duplicated", s.duplicated);
-    line(out, "indiss_fault_reordered", s.reordered);
-    line(out, "indiss_fault_corrupted", s.corrupted);
-    line(out, "indiss_fault_delayed", s.delayed);
-    line(out, "indiss_fault_partitioned", s.partitioned);
-    line(out, "indiss_fault_time_partitioned", s.time_partitioned);
-}
-
-/// Renders the registry's per-shard-merged counters.
-pub fn render_registry_stats(out: &mut String, s: &RegistryStats) {
-    line(out, "indiss_registry_cache_hits", s.cache_hits);
-    line(out, "indiss_registry_remote_cache_hits", s.remote_cache_hits);
-    line(out, "indiss_registry_cache_misses", s.cache_misses);
-    line(out, "indiss_registry_cache_evictions", s.cache_evictions);
-    line(out, "indiss_registry_cache_expired", s.cache_expired);
-    line(out, "indiss_registry_negative_hits", s.negative_hits);
-    line(out, "indiss_registry_negative_stored", s.negative_stored);
-    line(out, "indiss_registry_records_inserted", s.records_inserted);
-    line(out, "indiss_registry_records_refreshed", s.records_refreshed);
-    line(out, "indiss_registry_records_evicted", s.records_evicted);
-    line(out, "indiss_registry_records_expired", s.records_expired);
-    line(out, "indiss_registry_records_removed", s.records_removed);
-}
-
-/// Renders the federated-mesh counters.
-pub fn render_mesh_stats(out: &mut String, s: &MeshStats) {
-    line(out, "indiss_mesh_rounds_run", s.rounds_run);
-    line(out, "indiss_mesh_digests_sent", s.digests_sent);
-    line(out, "indiss_mesh_digests_received", s.digests_received);
-    line(out, "indiss_mesh_digest_resyncs", s.digest_resyncs);
-    line(out, "indiss_mesh_acks_sent", s.acks_sent);
-    line(out, "indiss_mesh_acks_received", s.acks_received);
-    line(out, "indiss_mesh_pulls_sent", s.pulls_sent);
-    line(out, "indiss_mesh_pulls_received", s.pulls_received);
-    line(out, "indiss_mesh_records_sent", s.records_sent);
-    line(out, "indiss_mesh_records_received", s.records_received);
-    line(out, "indiss_mesh_records_applied", s.records_applied);
-    line(out, "indiss_mesh_records_stale", s.records_stale);
-    line(out, "indiss_mesh_frames_rejected", s.frames_rejected);
-    line(out, "indiss_mesh_custody_enqueued", s.custody_enqueued);
-    line(out, "indiss_mesh_custody_dropped", s.custody_dropped);
-    line(out, "indiss_mesh_custody_expired", s.custody_expired);
-    line(out, "indiss_mesh_custody_replayed", s.custody_replayed);
-    line(out, "indiss_mesh_peers_down", s.peers_down);
-    line(out, "indiss_mesh_peers_reconnected", s.peers_reconnected);
 }
 
 /// Renders the symbol-interner gauges (process-wide).
@@ -630,7 +537,7 @@ mod tests {
     #[test]
     fn stats_page_renders_fixed_order_lines() {
         let mut out = String::new();
-        render_bridge_stats(&mut out, &BridgeStats::default());
+        crate::BridgeStats::default().render(&mut out, "indiss_bridge");
         render_interner_gauges(&mut out);
         render_tracer(&mut out, &sample_tracer());
         assert!(out.starts_with("indiss_bridge_requests_bridged 0\n"));

@@ -31,9 +31,7 @@ mod hist;
 mod trace;
 
 pub use export::{
-    chrome_trace_json, render_bridge_stats, render_interner_gauges, render_mesh_stats,
-    render_netfront_stats, render_registry_stats, render_tracer, validate_chrome_trace,
-    StatsServer,
+    chrome_trace_json, render_interner_gauges, render_tracer, validate_chrome_trace, StatsServer,
 };
 pub use hist::{bucket_floor, bucket_of, AtomicHistogram, LatencyHistogram, HIST_BUCKETS};
 pub use trace::{Clock, Phase, SimClock, SpanSnapshot, Tracer, WallClock, PHASES};

@@ -47,7 +47,7 @@ pub enum Phase {
     Decode = 0,
     /// Parsed message → event stream (unit parser).
     Parse = 1,
-    /// Warm-path decision (`classify_request`).
+    /// Warm-path decision (`GatewayCore::classify`).
     Classify = 2,
     /// Composing the native reply / recording the advert.
     Deliver = 3,

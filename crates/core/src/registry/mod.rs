@@ -110,39 +110,40 @@ impl Default for RegistryConfig {
     }
 }
 
-/// Counters the registry maintains; folded into [`crate::BridgeStats`].
-/// Maintained per shard and merged on read by
-/// [`ServiceRegistry::stats`], so concurrent workers never contend on
-/// (or lose) a shared counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegistryStats {
-    /// Cache lookups answered from a live entry.
-    pub cache_hits: u64,
-    /// Of those hits, how many were served from responses learned from
-    /// a mesh peer ([`ServiceRegistry::warm_remote`]) rather than from
-    /// this gateway's own bridged traffic.
-    pub remote_cache_hits: u64,
-    /// Cache lookups that found nothing usable.
-    pub cache_misses: u64,
-    /// Cache entries evicted by the LRU capacity bound.
-    pub cache_evictions: u64,
-    /// Cache entries dropped because their TTL elapsed.
-    pub cache_expired: u64,
-    /// Lookups answered by the negative cache ("nothing found" without a
-    /// fan-out).
-    pub negative_hits: u64,
-    /// Negative-cache entries stored.
-    pub negative_stored: u64,
-    /// Service records newly inserted.
-    pub records_inserted: u64,
-    /// Service records refreshed by a newer advert.
-    pub records_refreshed: u64,
-    /// Service records evicted by the capacity bound.
-    pub records_evicted: u64,
-    /// Service records dropped because their TTL elapsed.
-    pub records_expired: u64,
-    /// Service records removed by byebye advertisements.
-    pub records_removed: u64,
+indiss_net::counter_family! {
+    /// Counters the registry maintains; folded into [`crate::BridgeStats`].
+    /// Maintained per shard and merged on read by
+    /// [`ServiceRegistry::stats`], so concurrent workers never contend on
+    /// (or lose) a shared counter.
+    pub struct RegistryStats {
+        /// Cache lookups answered from a live entry.
+        cache_hits,
+        /// Of those hits, how many were served from responses learned from
+        /// a mesh peer ([`ServiceRegistry::warm_remote`]) rather than from
+        /// this gateway's own bridged traffic.
+        remote_cache_hits,
+        /// Cache lookups that found nothing usable.
+        cache_misses,
+        /// Cache entries evicted by the LRU capacity bound.
+        cache_evictions,
+        /// Cache entries dropped because their TTL elapsed.
+        cache_expired,
+        /// Lookups answered by the negative cache ("nothing found" without a
+        /// fan-out).
+        negative_hits,
+        /// Negative-cache entries stored.
+        negative_stored,
+        /// Service records newly inserted.
+        records_inserted,
+        /// Service records refreshed by a newer advert.
+        records_refreshed,
+        /// Service records evicted by the capacity bound.
+        records_evicted,
+        /// Service records dropped because their TTL elapsed.
+        records_expired,
+        /// Service records removed by byebye advertisements.
+        records_removed,
+    }
 }
 
 /// What [`ServiceRegistry::record_advert`] did with a stream.
@@ -1368,5 +1369,11 @@ mod tests {
         assert_eq!(a.content_digest(t), b.content_digest(t));
         a.record_advert(SdpProtocol::Slp, &alive("extra", "u://x", None), t);
         assert_ne!(a.content_digest(t), b.content_digest(t), "digest sees new content");
+    }
+
+    /// The table is the contract (walks the generated name table).
+    #[test]
+    fn registry_family_table_is_the_contract() {
+        RegistryStats::assert_family_contract("indiss_registry");
     }
 }

@@ -32,25 +32,6 @@ pub(crate) struct CachedResponse {
     pub(crate) remote: bool,
 }
 
-/// Merge-on-read for the per-shard counter blocks: the aggregate
-/// [`crate::ServiceRegistry::stats`] view folds shards with this.
-impl RegistryStats {
-    pub(crate) fn merge(&mut self, other: &RegistryStats) {
-        self.cache_hits += other.cache_hits;
-        self.remote_cache_hits += other.remote_cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.cache_expired += other.cache_expired;
-        self.negative_hits += other.negative_hits;
-        self.negative_stored += other.negative_stored;
-        self.records_inserted += other.records_inserted;
-        self.records_refreshed += other.records_refreshed;
-        self.records_evicted += other.records_evicted;
-        self.records_expired += other.records_expired;
-        self.records_removed += other.records_removed;
-    }
-}
-
 /// One independently locked slice of the registry: everything keyed by
 /// the canonical types that hash here.
 pub(crate) struct Shard {

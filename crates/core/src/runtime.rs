@@ -22,6 +22,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use indiss_net::{Completion, Datagram, Node, SimTime, Transport, World};
@@ -30,68 +31,23 @@ use crate::adapt::DiscoveryMode;
 use crate::config::{IndissConfig, UnitSpec};
 use crate::error::{CoreError, CoreResult};
 use crate::event::{Event, EventStream, SdpProtocol};
-use crate::gateway::{classify_request, BridgeCounters, WarmDecision};
+use crate::gateway::{BridgeStats, GatewayCore, WarmDecision};
 use crate::mesh::MeshNode;
 use crate::monitor::Monitor;
 use crate::obs::{Phase, SimClock, Tracer};
-use crate::registry::ServiceRegistry;
+use crate::registry::{AdvertDisposition, ServiceRegistry};
 use crate::units::{ParsedMessage, Unit, UnitContext};
-
-/// Counters exposed for tests and the evaluation harness. The bridge-path
-/// counters are maintained by the runtime; the cache and record counters
-/// are folded in from the [`ServiceRegistry`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BridgeStats {
-    /// Requests parsed and dispatched to foreign units.
-    pub requests_bridged: u64,
-    /// Native responses composed back to requesters.
-    pub responses_composed: u64,
-    /// Requests answered from the response cache.
-    pub cache_hits: u64,
-    /// The subset of `cache_hits` served from entries warmed by mesh
-    /// gossip ([`crate::RecordOrigin::Remote`]) rather than local SDP
-    /// traffic — the federated plane's "remote hit" counter.
-    pub remote_cache_hits: u64,
-    /// Cache lookups that found nothing usable.
-    pub cache_misses: u64,
-    /// Requests answered "nothing found" by the negative cache, without
-    /// fanning out to the units.
-    pub negative_hits: u64,
-    /// Cache entries evicted by the LRU capacity bound.
-    pub cache_evictions: u64,
-    /// Cache entries dropped because their TTL elapsed.
-    pub cache_expired: u64,
-    /// Advertisements recorded from the environment.
-    pub adverts_recorded: u64,
-    /// Advertisements re-composed into other SDPs (active mode).
-    pub adverts_translated: u64,
-    /// Requests dropped by the suppression window (multi-bridge loop
-    /// protection).
-    pub requests_suppressed: u64,
-    /// Fan-out attempts re-issued because the per-query deadline fired
-    /// with no unit answer (each retry of one query counts once).
-    pub queries_retried: u64,
-    /// Queries that exhausted every retry without a unit answer and
-    /// were degraded (a stale registry answer or a negative reply).
-    pub queries_exhausted: u64,
-    /// Exhausted queries answered from stale registry knowledge
-    /// ([`crate::ServiceRegistry::stale_response`]) instead of a
-    /// negative reply.
-    pub stale_served: u64,
-    /// Service records dropped because their TTL elapsed.
-    pub records_expired: u64,
-    /// Service records evicted by the registry capacity bound.
-    pub records_evicted: u64,
-}
 
 struct IndissInner {
     node: Node,
     config: IndissConfig,
     units: HashMap<SdpProtocol, Rc<dyn Unit>>,
-    registry: ServiceRegistry,
-    /// Bridge-path counters: atomics shared with the registry snapshot
-    /// path, so `stats()` never needs the runtime lock for counting.
-    counters: Arc<BridgeCounters>,
+    /// Registry, bridge counters, warm-path knobs and tracer — the half
+    /// of the gateway this runtime shares with [`crate::NetDriver`].
+    /// With [`field@IndissConfig::trace`] on, every span is recorded at
+    /// explicit virtual times (`record_at`), so same-seed replays export
+    /// byte-identical traces.
+    core: GatewayCore,
     mode: DiscoveryMode,
     mode_log: Vec<(SimTime, DiscoveryMode)>,
     /// Virtual time the next registry sweep is armed for, if any.
@@ -102,11 +58,6 @@ struct IndissInner {
     mesh: Option<MeshNode>,
     /// Virtual time the next mesh tick is armed for, if any.
     mesh_tick_armed: Option<SimTime>,
-    /// Pipeline span recorder ([`crate::IndissConfig::trace`]). In the
-    /// simulated runtime every span is recorded at explicit virtual
-    /// times (`record_at`), so same-seed replays export byte-identical
-    /// traces.
-    tracer: Tracer,
 }
 
 /// A deployed INDISS instance.
@@ -117,7 +68,7 @@ struct IndissInner {
 /// deterministic event loop is the point of the simulator — while the
 /// warm-path semantics it exercises are exactly the ones
 /// [`crate::ThreadedGateway`] runs across worker threads, via the shared
-/// `classify_request`.
+/// [`GatewayCore`].
 ///
 /// See the crate-level docs for a full example; the one-liner is
 /// `Indiss::deploy(&node, IndissConfig::slp_upnp())`.
@@ -183,7 +134,7 @@ impl Indiss {
     /// units claim the same protocol (a silent first-wins would make the
     /// losing spec's configuration disappear without a trace), or when
     /// the config names mesh peers — a `Peers = { … }` block or
-    /// [`IndissConfig::with_mesh`] deploys through
+    /// [`IndissConfig::mesh`] deploys through
     /// [`Indiss::deploy_mesh`], so a configured federation can never be
     /// silently dropped; network errors when the monitor or unit sockets
     /// cannot bind.
@@ -200,7 +151,7 @@ impl Indiss {
     /// Deploys INDISS *and* its federated mesh plane: everything
     /// [`Indiss::deploy`] does, plus a [`MeshNode`] built from the
     /// config's [`IndissConfig::mesh_config`] (a config-language
-    /// `Peers = { … }` block or [`IndissConfig::with_mesh`]) is started
+    /// `Peers = { … }` block or [`IndissConfig::mesh`]) is started
     /// on `peer_bus` — the transport every gateway of one mesh must
     /// share. Gossip rounds and custody expiry run on the node's
     /// virtual-time world, and locally recorded adverts are offered to
@@ -219,7 +170,7 @@ impl Indiss {
     ) -> CoreResult<Indiss> {
         let Some(mesh_config) = config.mesh_config() else {
             return Err(CoreError::BadConfig(
-                "deploy_mesh needs mesh peers (a Peers block or with_mesh)",
+                "deploy_mesh needs mesh peers (a Peers block or IndissConfig::mesh)",
             ));
         };
         let instance = Indiss::deploy_inner(node, config)?;
@@ -245,7 +196,6 @@ impl Indiss {
         }
         let protocols = config.protocols();
         let monitor = Monitor::start(node, &protocols)?;
-        let registry = ServiceRegistry::new(config.registry_config());
         let tracer = if config.trace {
             // One ring: the simulated runtime is single-threaded, so one
             // writer covers every lane, and one ring keeps the exported
@@ -268,14 +218,12 @@ impl Indiss {
                 node: node.clone(),
                 config: config.clone(),
                 units: HashMap::new(),
-                registry,
-                counters: Arc::new(BridgeCounters::default()),
+                core: GatewayCore::new(&config, tracer),
                 mode: DiscoveryMode::Passive,
                 mode_log: vec![(node.world().now(), DiscoveryMode::Passive)],
                 sweep_armed: None,
                 mesh: None,
                 mesh_tick_armed: None,
-                tracer,
             })),
             monitor: monitor.clone(),
         };
@@ -314,7 +262,7 @@ impl Indiss {
 
     /// The shared service registry behind this instance.
     pub fn registry(&self) -> ServiceRegistry {
-        self.inner().registry.clone()
+        self.inner().core.registry()
     }
 
     /// The federated mesh plane, when this instance was deployed via
@@ -324,21 +272,20 @@ impl Indiss {
     }
 
     /// The pipeline span recorder. Disabled (and free) unless the
-    /// config set [`crate::IndissConfig::trace`]; enabled, it holds the
+    /// config set [`field@IndissConfig::trace`]; enabled, it holds the
     /// virtual-time spans a test or harness exports with
     /// [`crate::chrome_trace_json`].
     pub fn tracer(&self) -> Tracer {
-        self.inner().tracer.clone()
+        self.inner().core.tracer()
     }
 
     /// Bridge statistics so far (atomic bridge-path counters merged with
     /// the registry's per-shard cache and record counters).
     pub fn stats(&self) -> BridgeStats {
-        let (counters, registry) = {
-            let inner = self.inner();
-            (Arc::clone(&inner.counters), inner.registry.clone())
-        };
-        counters.snapshot(&registry)
+        // Cloned out: the runtime lock is released before the registry's
+        // shard locks are taken.
+        let core = self.inner().core.clone();
+        core.stats()
     }
 
     /// Current interception mode.
@@ -371,7 +318,7 @@ impl Indiss {
     pub fn warm_cache(&self, canonical_type: &str, response: EventStream) {
         let (registry, world) = {
             let inner = self.inner();
-            (inner.registry.clone(), inner.node.world().clone())
+            (inner.core.registry(), inner.node.world().clone())
         };
         registry.warm(canonical_type, response, world.now());
         self.schedule_sweep(&world);
@@ -400,7 +347,7 @@ impl Indiss {
             let inner = self.inner();
             UnitContext {
                 node: inner.node.clone(),
-                registry: inner.registry.clone(),
+                registry: inner.core.registry(),
                 monitor: self.monitor.clone(),
                 bridge: BridgeHandle {
                     inner: Arc::downgrade(&self.inner),
@@ -425,18 +372,18 @@ impl Indiss {
         if self.inner().config.lazy_units {
             let _ = self.ensure_unit(protocol);
         }
-        let Some((unit, tracer)) = ({
+        let Some((unit, core)) = ({
             let inner = self.inner();
-            inner.units.get(&protocol).cloned().map(|u| (u, inner.tracer.clone()))
+            inner.units.get(&protocol).cloned().map(|u| (u, inner.core.clone()))
         }) else {
             return;
         };
         let parsed = unit.parse(world, dgram);
-        if tracer.enabled() {
+        if core.tracer.enabled() {
             // Virtual time does not advance inside a synchronous parse,
             // so the span is zero-width at the datagram's arrival time.
             let now = world.now();
-            tracer.record_at(0, Phase::Parse, now, now);
+            core.tracer.record_at(0, Phase::Parse, now, now);
         }
         match parsed {
             ParsedMessage::Request(stream) => {
@@ -446,7 +393,9 @@ impl Indiss {
                 self.record_advert(world, protocol, stream);
             }
             ParsedMessage::Response(stream) => {
-                self.warm_from_response(world, &stream);
+                if core.ingest_response(&stream, world.now()) {
+                    self.schedule_sweep(world);
+                }
             }
             ParsedMessage::Handled | ParsedMessage::NotRelevant => {}
         }
@@ -455,7 +404,7 @@ impl Indiss {
     /// Bridges a request: registry cache first (positive, then negative),
     /// then fan out to all other units; the first successful response
     /// wins. The cache/negative/suppression decision is
-    /// [`classify_request`] — the same function the multi-threaded
+    /// [`GatewayCore::classify`] — the same body the multi-threaded
     /// gateway runs on its workers. When `custom_reply` is given (Jini
     /// registrar path), the response events are handed back instead of
     /// composed by the origin unit.
@@ -467,16 +416,7 @@ impl Indiss {
         custom_reply: Option<Completion<EventStream>>,
     ) {
         let now = world.now();
-        let (
-            registry,
-            counters,
-            units,
-            enable_cache,
-            suppress_window,
-            query_timeout,
-            query_retries,
-            tracer,
-        ) = {
+        let (core, units, query_timeout, query_retries) = {
             let inner = self.inner();
             let units: Vec<(SdpProtocol, Rc<dyn Unit>)> = inner
                 .units
@@ -484,28 +424,10 @@ impl Indiss {
                 .filter(|(p, _)| **p != origin)
                 .map(|(p, u)| (*p, Rc::clone(u)))
                 .collect();
-            (
-                inner.registry.clone(),
-                Arc::clone(&inner.counters),
-                units,
-                inner.config.enable_cache,
-                inner.config.suppress_window,
-                inner.config.query_timeout,
-                inner.config.query_retries,
-                inner.tracer.clone(),
-            )
+            (inner.core.clone(), units, inner.config.query_timeout, inner.config.query_retries)
         };
 
-        let stype = request.service_type_symbol();
-        let decision = classify_request(
-            &registry,
-            &counters,
-            enable_cache,
-            suppress_window,
-            origin,
-            &request,
-            now,
-        );
+        let decision = core.classify(origin, &request, now);
         if let WarmDecision::CacheHit(response) = decision {
             self.deliver(world, origin, &request, &response, custom_reply);
             return;
@@ -531,33 +453,31 @@ impl Indiss {
         // state machine; this subscriber is the query's single exit.
         let winner: Completion<EventStream> = Completion::new();
         let tracker = crate::tracker::QueryTracker::new(
+            core.clone(),
             origin,
             request.clone(),
-            stype.clone(),
             units,
-            registry.clone(),
-            Arc::clone(&counters),
             winner.clone(),
             query_timeout,
             query_retries,
-            tracer,
         );
         tracker.start(world);
 
         let this = self.clone();
         let world2 = world.clone();
+        let stype = request.service_type_symbol();
         winner.subscribe(move |response| {
-            if enable_cache {
+            if core.enable_cache {
                 if response.service_url().is_some() {
                     if let Some(t) = response.service_type_symbol().or(stype.clone()) {
-                        registry.warm(t, response.clone(), world2.now());
+                        core.registry.warm(t, response.clone(), world2.now());
                         this.schedule_sweep(&world2);
                     }
                 } else if let Some(t) = stype.clone() {
                     // Every unit came back empty: remember the miss so a
                     // request storm for this absent type stops fanning
                     // out (short TTL; adverts invalidate eagerly).
-                    registry.warm_negative(origin, t, world2.now());
+                    core.registry.warm_negative(origin, t, world2.now());
                     this.schedule_sweep(&world2);
                 }
             }
@@ -578,9 +498,9 @@ impl Indiss {
         let tracer = {
             let inner = self.inner();
             if response.service_url().is_some() {
-                inner.counters.add_responses_composed();
+                inner.core.counters.responses_composed.fetch_add(1, Ordering::Relaxed);
             }
-            inner.tracer.clone()
+            inner.core.tracer()
         };
         if tracer.enabled() {
             let now = world.now();
@@ -597,39 +517,24 @@ impl Indiss {
         }
     }
 
-    /// Records an advertisement in the registry; in the active mode,
-    /// immediately re-advertises it into the other SDPs.
+    /// Ingests an advertisement through the core (record, count, warm);
+    /// then what only this runtime does: offer it to the mesh, arm the
+    /// timers, and in the active mode re-advertise it into the other
+    /// SDPs.
     fn record_advert(&self, world: &World, origin: SdpProtocol, stream: EventStream) {
         let now = world.now();
-        let (registry, enable_cache) = {
+        let (core, mesh, active) = {
             let inner = self.inner();
-            (inner.registry.clone(), inner.config.enable_cache)
+            (inner.core.clone(), inner.mesh.clone(), inner.mode == DiscoveryMode::Active)
         };
-        // Only streams with no identity at all are dropped; a byebye for
-        // an already-expired or evicted record is still a retraction
-        // worth counting and (in active mode) forwarding.
-        if registry.record_advert(origin, &stream, now)
-            == crate::registry::AdvertDisposition::Ignored
-        {
-            return; // no identity to key on
-        }
-        let active = {
-            let inner = self.inner();
-            inner.counters.add_adverts_recorded();
-            inner.mode == DiscoveryMode::Active
-        };
-        // A full advert (with endpoint) warms the cache too.
-        if enable_cache && stream.is_alive() && stream.service_url().is_some() {
-            if let Some(t) = stream.service_type_symbol() {
-                registry.warm(t, stream.clone(), now);
-            }
+        if core.ingest_advert(origin, &stream, now) == AdvertDisposition::Ignored {
+            return;
         }
         // Offer the advert to the mesh plane: up peers learn it from
         // the next digest via the version bump the record just caused,
         // down peers get it held in custody for replay on reconnect
         // (whose lapse deadline may move the next mesh tick earlier).
         if stream.is_alive() {
-            let mesh = self.inner().mesh.clone();
             if let Some(mesh) = mesh {
                 mesh.publish(origin, &stream, now);
                 self.schedule_mesh_tick(world);
@@ -638,20 +543,6 @@ impl Indiss {
         self.schedule_sweep(world);
         if active {
             self.translate_advert(world, origin, &stream);
-        }
-    }
-
-    fn warm_from_response(&self, world: &World, stream: &EventStream) {
-        let (registry, enable_cache) = {
-            let inner = self.inner();
-            (inner.registry.clone(), inner.config.enable_cache)
-        };
-        if !enable_cache || stream.service_url().is_none() {
-            return;
-        }
-        if let Some(t) = stream.service_type_symbol() {
-            registry.warm(t, stream.clone(), world.now());
-            self.schedule_sweep(world);
         }
     }
 
@@ -674,7 +565,7 @@ impl Indiss {
         if units.is_empty() {
             return;
         }
-        self.inner().counters.add_adverts_translated();
+        self.inner().core.counters.adverts_translated.fetch_add(1, Ordering::Relaxed);
         let enriched: Completion<EventStream> = Completion::new();
         match origin_unit {
             Some(u) => u.enrich_advert(world, stream, enriched.clone()),
@@ -696,8 +587,7 @@ impl Indiss {
     /// earliest pending deadline. Reads expire lazily regardless; the
     /// timer is what reclaims memory deterministically.
     fn schedule_sweep(&self, world: &World) {
-        let registry = self.inner().registry.clone();
-        let Some(deadline) = registry.next_deadline() else {
+        let Some(deadline) = self.registry().next_deadline() else {
             return;
         };
         {
@@ -713,12 +603,8 @@ impl Indiss {
     }
 
     fn run_sweep(&self, world: &World) {
-        let registry = {
-            let mut inner = self.inner();
-            inner.sweep_armed = None;
-            inner.registry.clone()
-        };
-        registry.sweep(world.now());
+        self.inner().sweep_armed = None;
+        self.registry().sweep(world.now());
         self.schedule_sweep(world);
     }
 
@@ -791,8 +677,7 @@ impl Indiss {
         };
         if go_active {
             // Re-advertise everything we know (periodic while active).
-            let registry = self.inner().registry.clone();
-            for (origin, stream) in registry.adverts(now) {
+            for (origin, stream) in self.registry().adverts(now) {
                 self.translate_advert(world, origin, &stream);
             }
         }
@@ -812,7 +697,7 @@ impl std::fmt::Debug for Indiss {
             .field("units", &inner.units.keys().collect::<Vec<_>>())
             .field("mode", &inner.mode)
             .field("stats", &stats)
-            .field("registry", &inner.registry)
+            .field("registry", &inner.core.registry)
             .finish()
     }
 }
@@ -921,7 +806,7 @@ mod tests {
         let bridge_node = world.add_node("gateway");
         let indiss = Indiss::deploy(
             &bridge_node,
-            IndissConfig::slp_upnp().with_negative_ttl(Duration::from_secs(30)),
+            IndissConfig::slp_upnp().negative_ttl(Duration::from_secs(30)),
         )
         .unwrap();
         let ua = UserAgent::start(&client_node, SlpConfig::default()).unwrap();
@@ -953,7 +838,7 @@ mod tests {
         let world = World::new(82);
         let gw = world.add_node("gateway");
         let client_node = world.add_node("jini-client");
-        let _indiss = Indiss::deploy(&gw, IndissConfig::new().with_jini()).unwrap();
+        let _indiss = Indiss::deploy(&gw, IndissConfig::new().jini()).unwrap();
         let client =
             indiss_jini::JiniAgent::start(&client_node, indiss_jini::JiniConfig::default())
                 .unwrap();
@@ -970,11 +855,9 @@ mod tests {
         let world = World::new(81);
         let client_node = world.add_node("slp-client");
         let host = world.add_node("clock-host");
-        let indiss = Indiss::deploy(
-            &host,
-            IndissConfig::slp_upnp().with_negative_ttl(Duration::from_secs(120)),
-        )
-        .unwrap();
+        let indiss =
+            Indiss::deploy(&host, IndissConfig::slp_upnp().negative_ttl(Duration::from_secs(120)))
+                .unwrap();
         let ua = UserAgent::start(&client_node, SlpConfig::default()).unwrap();
 
         let (_f, d) = ua.find_services(&world, "service:clock", "");
@@ -996,7 +879,7 @@ mod tests {
         let world = World::new(76);
         let gw = world.add_node("gateway");
         let client_node = world.add_node("client");
-        let indiss = Indiss::deploy(&gw, IndissConfig::slp_upnp().with_lazy_units()).unwrap();
+        let indiss = Indiss::deploy(&gw, IndissConfig::slp_upnp().lazy()).unwrap();
         assert!(indiss.active_units().is_empty(), "nothing instantiated yet");
         let ua = UserAgent::start(&client_node, SlpConfig::default()).unwrap();
         ua.find_services(&world, "service:clock", "");
@@ -1010,7 +893,7 @@ mod tests {
         let host = world.add_node("service-host");
         let indiss = Indiss::deploy(
             &host,
-            IndissConfig::slp_upnp().with_adaptation(AdaptationPolicy {
+            IndissConfig::slp_upnp().adaptation(AdaptationPolicy {
                 threshold_bytes_per_sec: 100.0,
                 window: Duration::from_secs(1),
                 check_interval: Duration::from_secs(1),
@@ -1036,7 +919,7 @@ mod tests {
     fn deploy_rejects_duplicate_units_for_one_protocol() {
         let world = World::new(83);
         let node = world.add_node("x");
-        let config = IndissConfig::new().with_slp().with_upnp().with_slp();
+        let config = IndissConfig::new().slp().upnp().slp();
         let err = Indiss::deploy(&node, config).unwrap_err();
         assert!(matches!(err, CoreError::BadConfig(msg) if msg.contains("duplicate")), "{err}");
         // The builder path hits the same guard.
@@ -1080,11 +963,9 @@ mod tests {
         let world = World::new(79);
         let host = world.add_node("gateway");
         let dev = world.add_node("device");
-        let indiss = Indiss::deploy(
-            &host,
-            IndissConfig::slp_upnp().with_advert_ttl(Duration::from_secs(120)),
-        )
-        .unwrap();
+        let indiss =
+            Indiss::deploy(&host, IndissConfig::slp_upnp().advert_ttl(Duration::from_secs(120)))
+                .unwrap();
         let _clock = ClockDevice::start(&dev, UpnpConfig::default()).unwrap();
         world.run_for(Duration::from_secs(1));
 
@@ -1115,8 +996,8 @@ mod tests {
         let node_b = world.add_node("gw-b");
         let bus: Arc<dyn Transport> = Arc::new(indiss_net::SimTransport::new());
 
-        let cfg_a = IndissConfig::slp_upnp().with_mesh(7100, vec![7101]);
-        let cfg_b = IndissConfig::slp_upnp().with_mesh(7101, vec![7100]);
+        let cfg_a = IndissConfig::slp_upnp().mesh(7100, vec![7101]);
+        let cfg_b = IndissConfig::slp_upnp().mesh(7101, vec![7100]);
 
         let err = Indiss::deploy(&node_a, cfg_a.clone()).unwrap_err();
         assert!(matches!(err, CoreError::BadConfig(msg) if msg.contains("deploy_mesh")), "{err}");

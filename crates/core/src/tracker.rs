@@ -12,12 +12,12 @@
 //! machine per query:
 //!
 //! * each fan-out **attempt** arms a virtual-time deadline
-//!   ([`crate::IndissConfig::query_timeout`], doubling per attempt and
+//!   ([`field@crate::IndissConfig::query_timeout`], doubling per attempt and
 //!   capped at 8×, plus a deterministic jitter derived from the
 //!   service type so co-located gateways do not retransmit in
 //!   lockstep);
 //! * a deadline that fires with no winner **retries** the fan-out, at
-//!   most [`crate::IndissConfig::query_retries`] times
+//!   most [`field@crate::IndissConfig::query_retries`] times
 //!   ([`crate::BridgeStats::queries_retried`]);
 //! * when the last deadline fires the query **degrades gracefully**
 //!   ([`crate::BridgeStats::queries_exhausted`]): a stale registry
@@ -34,21 +34,20 @@
 //!
 //! Lock-order rule: the tracker holds **no** lock of its own and never
 //! calls back into the runtime's `IndissInner` mutex; it captures the
-//! cheap handles it needs (`ServiceRegistry`, `Arc<BridgeCounters>`,
-//! unit `Rc`s) at construction, so deadline callbacks can run from the
-//! world's event loop regardless of what the runtime is doing.
+//! cheap handles it needs (the [`GatewayCore`], unit `Rc`s) at
+//! construction, so deadline callbacks can run from the world's event
+//! loop regardless of what the runtime is doing.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use indiss_net::{Completion, World};
 
 use crate::event::{Event, EventStream, SdpProtocol};
-use crate::gateway::BridgeCounters;
-use crate::obs::{Phase, Tracer};
-use crate::registry::ServiceRegistry;
+use crate::gateway::GatewayCore;
+use crate::obs::Phase;
 use crate::symbol::Symbol;
 use crate::units::Unit;
 
@@ -61,49 +60,34 @@ const BACKOFF_CAP_DOUBLINGS: u32 = 3;
 /// the deterministic wall-clock analogue on the wire front-end is the
 /// *requester's* retransmit loop — the gateway side is stateless there.
 pub(crate) struct QueryTracker {
+    /// Registry (stale answers, shard lanes), retry counters and the
+    /// span recorder: each retry lands as a zero-width [`Phase::Retry`]
+    /// span at the deadline's virtual time, lane = the type's registry
+    /// shard (matching the classify span's lane).
+    core: GatewayCore,
     origin: SdpProtocol,
     request: EventStream,
     stype: Option<Symbol>,
     units: Vec<(SdpProtocol, Rc<dyn Unit>)>,
-    registry: ServiceRegistry,
-    counters: Arc<BridgeCounters>,
     /// First response stream carrying a service URL wins; the
     /// degradation path completes it too, so every query terminates.
     winner: Completion<EventStream>,
     timeout: Duration,
     retries: u32,
-    /// Span recorder: each retry lands as a zero-width
-    /// [`Phase::Retry`] span at the deadline's virtual time, lane =
-    /// the type's registry shard (matching the classify span's lane).
-    tracer: Tracer,
 }
 
 impl QueryTracker {
-    #[allow(clippy::too_many_arguments)] // plain captures, built in one place
     pub(crate) fn new(
+        core: GatewayCore,
         origin: SdpProtocol,
         request: EventStream,
-        stype: Option<Symbol>,
         units: Vec<(SdpProtocol, Rc<dyn Unit>)>,
-        registry: ServiceRegistry,
-        counters: Arc<BridgeCounters>,
         winner: Completion<EventStream>,
         timeout: Duration,
         retries: u32,
-        tracer: Tracer,
     ) -> Rc<QueryTracker> {
-        Rc::new(QueryTracker {
-            origin,
-            request,
-            stype,
-            units,
-            registry,
-            counters,
-            winner,
-            timeout,
-            retries,
-            tracer,
-        })
+        let stype = request.service_type_symbol();
+        Rc::new(QueryTracker { core, origin, request, stype, units, winner, timeout, retries })
     }
 
     /// Launches the first fan-out attempt and arms its deadline.
@@ -146,24 +130,24 @@ impl QueryTracker {
             return;
         }
         if index < self.retries {
-            self.counters.add_queries_retried();
-            if self.tracer.enabled() {
-                let lane = self.stype.clone().map_or(0, |t| self.registry.shard_of(t));
+            self.core.counters.queries_retried.fetch_add(1, Ordering::Relaxed);
+            if self.core.tracer.enabled() {
+                let lane = self.stype.clone().map_or(0, |t| self.core.registry.shard_of(t));
                 let now = world.now();
-                self.tracer.record_at(lane, Phase::Retry, now, now);
+                self.core.tracer.record_at(lane, Phase::Retry, now, now);
             }
             self.attempt(world, index + 1);
             return;
         }
-        self.counters.add_queries_exhausted();
-        let stale = self.stype.clone().and_then(|t| self.registry.stale_response(t));
+        self.core.counters.queries_exhausted.fetch_add(1, Ordering::Relaxed);
+        let stale = self.stype.clone().and_then(|t| self.core.registry.stale_response(t));
         match stale {
             Some(response) => {
                 // Serve-stale-under-outage: the winner's subscriber
                 // re-warms the cache with this answer, deliberately —
                 // a request storm during the outage is then absorbed
                 // by the warm path instead of retried per request.
-                self.counters.add_stale_served();
+                self.core.counters.stale_served.fetch_add(1, Ordering::Relaxed);
                 self.winner.complete(response);
             }
             None => {
@@ -208,16 +192,13 @@ mod tests {
 
     fn tracker(timeout_ms: u64, stype: Option<&str>) -> Rc<QueryTracker> {
         QueryTracker::new(
+            GatewayCore::new(&crate::IndissConfig::new(), crate::Tracer::disabled()),
             SdpProtocol::Slp,
-            EventStream::framed(vec![]),
-            stype.map(Symbol::intern),
+            EventStream::framed(stype.map(|t| Event::ServiceType(t.into())).into_iter().collect()),
             Vec::new(),
-            ServiceRegistry::new(crate::registry::RegistryConfig::default()),
-            Arc::new(BridgeCounters::default()),
             Completion::new(),
             Duration::from_millis(timeout_ms),
             2,
-            Tracer::disabled(),
         )
     }
 

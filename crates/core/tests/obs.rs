@@ -210,7 +210,7 @@ fn stats_endpoint_serves_live_counters_over_tcp() {
     descriptions.insert(location, &clock_description().to_xml());
 
     let transport: Arc<dyn Transport> = Arc::new(SimTransport::new());
-    let config = IndissConfig::slp_upnp().with_trace().with_stats_port(0);
+    let config = IndissConfig::slp_upnp().trace(true).stats_port(0);
     let driver = match NetDriver::builder(config)
         .transport(Arc::clone(&transport))
         .describe(descriptions)
@@ -293,3 +293,118 @@ fn stats_endpoint_serves_live_counters_over_tcp() {
     // Shutdown stops the endpoint: a fresh connection must fail.
     assert!(TcpStream::connect(addr).is_err(), "stats endpoint still accepting after shutdown");
 }
+
+/// The `/metrics` page of an untraced gateway after a fixed script,
+/// pinned line by line against the page the hand-listed renderers served
+/// before the counter families rendered themselves: every counter and
+/// gauge name, every value, in order. (Within the netfront block the
+/// four `recv_batch_bucket_*` lines now follow the scalar counters.)
+/// Interner gauges are process-wide, so only their names are pinned; the
+/// per-phase histogram lines after the trace gauges are not counters.
+#[test]
+fn metrics_page_is_pinned_name_for_name() {
+    let transport: Arc<dyn Transport> = Arc::new(SimTransport::new());
+    let driver = match NetDriver::builder(IndissConfig::slp_upnp().stats_port(0))
+        .transport(Arc::clone(&transport))
+        .start()
+    {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("skipping metrics_page_is_pinned_name_for_name: {e}");
+            return;
+        }
+    };
+    let client = transport.bind_client(Arc::new(|_| {})).expect("client");
+    let upnp = driver.channel_addr(SdpProtocol::Upnp).expect("upnp");
+    let slp = driver.channel_addr(SdpProtocol::Slp).expect("slp");
+    let srv_reg = indiss_slp::Message::new(
+        indiss_slp::Header::new(indiss_slp::FunctionId::SrvReg, 1, "en"),
+        indiss_slp::Body::SrvReg(indiss_slp::SrvReg {
+            entry: indiss_slp::UrlEntry::new("service:printer:lpr://10.0.3.1:515", 1800),
+            service_type: "service:printer".into(),
+            scopes: "DEFAULT".into(),
+            attrs: String::new(),
+        }),
+    )
+    .encode()
+    .expect("encodable");
+    // No fetcher on the sim bus: the NOTIFY is recorded unenriched.
+    client.send_to(&clock_notify("http://10.88.0.2:4004/description.xml"), upnp).expect("send");
+    client.send_to(&srv_reg, slp).expect("send");
+    for (xid, ty) in [(2, "printer"), (3, "printer"), (4, "toaster"), (5, "toaster")] {
+        client.send_to(&slp_request(&format!("service:{ty}"), xid), slp).expect("send");
+    }
+    client.send_to(b"not an SLP message", slp).expect("send");
+
+    let (_, body) = scrape(driver.stats_addr().expect("stats endpoint"), "/metrics");
+    let page: Vec<String> = body
+        .lines()
+        .filter(|l| !l.starts_with("indiss_phase_"))
+        .map(|l| match l.strip_prefix("indiss_interner_") {
+            Some(gauge) => format!("indiss_interner_{} *", gauge.split(' ').next().expect("name")),
+            None => l.to_owned(),
+        })
+        .collect();
+    assert_eq!(page.join("\n"), GOLDEN_PAGE.trim());
+    driver.shutdown();
+}
+
+const GOLDEN_PAGE: &str = "
+indiss_bridge_requests_bridged 3
+indiss_bridge_responses_composed 2
+indiss_bridge_cache_hits 2
+indiss_bridge_remote_cache_hits 0
+indiss_bridge_cache_misses 2
+indiss_bridge_negative_hits 0
+indiss_bridge_cache_evictions 0
+indiss_bridge_cache_expired 0
+indiss_bridge_adverts_recorded 2
+indiss_bridge_adverts_translated 0
+indiss_bridge_requests_suppressed 1
+indiss_bridge_queries_retried 0
+indiss_bridge_queries_exhausted 0
+indiss_bridge_stale_served 0
+indiss_bridge_records_expired 0
+indiss_bridge_records_evicted 0
+indiss_netfront_datagrams_received 7
+indiss_netfront_dropped_backpressure 0
+indiss_netfront_requests_decoded 4
+indiss_netfront_replies_sent 2
+indiss_netfront_cold_misses 1
+indiss_netfront_adverts_seen 2
+indiss_netfront_descriptions_fetched 0
+indiss_netfront_decode_rejected 1
+indiss_netfront_reactor_wakeups 0
+indiss_netfront_batch_sends_flushed 0
+indiss_netfront_recv_eagain 0
+indiss_netfront_recv_truncated 0
+indiss_netfront_multicast_join_misses 0
+indiss_netfront_recv_batch_bucket_0 0
+indiss_netfront_recv_batch_bucket_1 0
+indiss_netfront_recv_batch_bucket_2 0
+indiss_netfront_recv_batch_bucket_3 0
+indiss_fault_dropped 0
+indiss_fault_duplicated 0
+indiss_fault_reordered 0
+indiss_fault_corrupted 0
+indiss_fault_delayed 0
+indiss_fault_partitioned 0
+indiss_fault_time_partitioned 0
+indiss_registry_cache_hits 2
+indiss_registry_remote_cache_hits 0
+indiss_registry_cache_misses 2
+indiss_registry_cache_evictions 0
+indiss_registry_cache_expired 0
+indiss_registry_negative_hits 0
+indiss_registry_negative_stored 0
+indiss_registry_records_inserted 2
+indiss_registry_records_refreshed 0
+indiss_registry_records_evicted 0
+indiss_registry_records_expired 0
+indiss_registry_records_removed 0
+indiss_interner_symbols *
+indiss_interner_bytes *
+indiss_trace_enabled 0
+indiss_trace_spans_recorded 0
+indiss_trace_spans_dropped 0
+";

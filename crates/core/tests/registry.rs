@@ -82,7 +82,7 @@ fn refresh_extends_the_deadline() {
 fn registry_capacity_bound_evicts_lru() {
     let world = World::new(93);
     let gw = world.add_node("gateway");
-    let indiss = Indiss::deploy(&gw, IndissConfig::slp_upnp().with_registry_capacity(2)).unwrap();
+    let indiss = Indiss::deploy(&gw, IndissConfig::slp_upnp().registry_capacity(2)).unwrap();
     let announcer = world.add_node("announcer");
     let socket = announcer.udp_bind_ephemeral().unwrap();
     let dst = SocketAddrV4::new(SSDP_MULTICAST_GROUP, SSDP_PORT);
@@ -105,7 +105,7 @@ fn registry_capacity_bound_evicts_lru() {
 fn cache_capacity_bound_evicts_lru() {
     let world = World::new(94);
     let gw = world.add_node("gateway");
-    let indiss = Indiss::deploy(&gw, IndissConfig::slp_upnp().with_cache_capacity(2)).unwrap();
+    let indiss = Indiss::deploy(&gw, IndissConfig::slp_upnp().cache_capacity(2)).unwrap();
     let response = |ty: &str| {
         indiss_core::EventStream::framed(vec![
             indiss_core::Event::ServiceResponse,
@@ -135,8 +135,7 @@ fn bridge_stats_count_cache_hits_misses_and_expiry() {
     let client = world.add_node("slp-client");
     let _clock = ClockDevice::start(&host, UpnpConfig::default()).unwrap();
     let indiss =
-        Indiss::deploy(&host, IndissConfig::slp_upnp().with_cache_ttl(Duration::from_secs(30)))
-            .unwrap();
+        Indiss::deploy(&host, IndissConfig::slp_upnp().cache_ttl(Duration::from_secs(30))).unwrap();
     let ua = UserAgent::start(&client, SlpConfig::default()).unwrap();
 
     let (_f, d1) = ua.find_services(&world, "service:clock", "");

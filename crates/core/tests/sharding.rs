@@ -367,7 +367,7 @@ proptest! {
             for (idx, expect) in &latest {
                 let ty = format!("epoch-{idx}");
                 for gw in [&one, &four] {
-                    match gw.classify_now(SdpProtocol::Slp, &request(&ty), t) {
+                    match gw.core().classify(SdpProtocol::Slp, &request(&ty), t) {
                         WarmDecision::CacheHit(stream) => {
                             prop_assert_eq!(response_version(&ty, &stream), *expect);
                         }

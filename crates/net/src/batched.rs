@@ -192,7 +192,7 @@ impl BatchedTransport {
                 while !stop.load(Ordering::Relaxed) {
                     match socket.recv_from(&mut buf) {
                         Ok((len, SocketAddr::V4(src))) => {
-                            counters.wakeups.fetch_add(1, Ordering::Relaxed);
+                            counters.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
                             counters.record_recv_batch(1);
                             if len > RECV_BUF {
                                 counters.recv_truncated.fetch_add(1, Ordering::Relaxed);
@@ -271,7 +271,7 @@ impl TransportSocket for BatchedSocketHandle {
         let mut sent = 0;
         let mut remaining = batch;
         while !remaining.is_empty() {
-            self.counters.batch_flushes.fetch_add(1, Ordering::Relaxed);
+            self.counters.batch_sends_flushed.fetch_add(1, Ordering::Relaxed);
             match sys::send_batch(self.socket.as_raw_fd(), remaining) {
                 Ok(0) => break,
                 Ok(n) => {
@@ -296,7 +296,7 @@ impl TransportSocket for BatchedSocketHandle {
     /// Fallback: a logical flush is one pass over the batch.
     #[cfg(not(all(target_os = "linux", feature = "epoll")))]
     fn send_batch(&self, batch: &[(Vec<u8>, SocketAddrV4)]) -> usize {
-        self.counters.batch_flushes.fetch_add(1, Ordering::Relaxed);
+        self.counters.batch_sends_flushed.fetch_add(1, Ordering::Relaxed);
         batch.iter().filter(|(payload, dst)| self.send_to(payload, *dst).is_ok()).count()
     }
 }
@@ -324,7 +324,7 @@ impl Transport for BatchedTransport {
     }
 
     fn io_stats(&self) -> Option<IoStats> {
-        Some(self.shared.counters.snapshot())
+        Some(self.shared.counters.io_stats())
     }
 
     fn shutdown(&self) {

@@ -39,7 +39,8 @@ use std::sync::{Arc, Mutex};
 use crate::error::NetResult;
 use crate::time::SimTime;
 use crate::transport::{
-    BindSpec, FaultStats, IoStats, Transport, TransportBatchSink, TransportKind, TransportSocket,
+    BindSpec, FaultCounters, FaultStats, IoStats, Transport, TransportBatchSink, TransportKind,
+    TransportSocket,
 };
 use crate::udp::Datagram;
 
@@ -99,31 +100,6 @@ impl FaultPlan {
 
     fn in_time_partition(&self, now: SimTime) -> bool {
         self.time_partitions.iter().any(|&(start, end)| now >= start && now < end)
-    }
-}
-
-#[derive(Default)]
-struct FaultCounters {
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    reordered: AtomicU64,
-    corrupted: AtomicU64,
-    delayed: AtomicU64,
-    partitioned: AtomicU64,
-    time_partitioned: AtomicU64,
-}
-
-impl FaultCounters {
-    fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            partitioned: self.partitioned.load(Ordering::Relaxed),
-            time_partitioned: self.time_partitioned.load(Ordering::Relaxed),
-        }
     }
 }
 

@@ -55,6 +55,7 @@
 
 mod batched;
 mod completion;
+pub mod counters;
 mod error;
 mod fault;
 mod latency;

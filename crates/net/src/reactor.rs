@@ -154,7 +154,7 @@ fn run(shared: &ReactorShared, mut epoll: sys::Epoll) {
         if tokens.iter().all(|&t| t == WAKE_TOKEN) {
             continue; // pure wake: no socket readiness to drain
         }
-        counters.wakeups.fetch_add(1, Ordering::Relaxed);
+        counters.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
         for &token in tokens {
             if token == WAKE_TOKEN {
                 continue;

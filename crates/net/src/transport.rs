@@ -70,61 +70,66 @@ pub type TransportSink = Arc<dyn Fn(Datagram) + Send + Sync + 'static>;
 /// datagram.
 pub type TransportBatchSink = Arc<dyn Fn(Vec<Datagram>) + Send + Sync + 'static>;
 
-/// Injected-fault counters, one per fault class a
-/// [`crate::FaultTransport`] plan can apply. All-zero on transports
-/// without an armed fault plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultStats {
-    /// Datagrams silently discarded by the drop probability.
-    pub dropped: u64,
-    /// Extra copies delivered by the duplicate probability.
-    pub duplicated: u64,
-    /// Datagrams held back one arrival (swap-with-next reordering).
-    pub reordered: u64,
-    /// Datagrams delivered with injected byte corruption.
-    pub corrupted: u64,
-    /// Datagrams held back behind later arrivals (injected delay).
-    pub delayed: u64,
-    /// Datagrams discarded inside a scheduled partition window.
-    pub partitioned: u64,
-    /// Datagrams discarded inside a scheduled *virtual-time* partition
-    /// window (see `FaultPlan::time_partitions`).
-    pub time_partitioned: u64,
+crate::counter_family! {
+    /// Injected-fault counters, one per fault class a
+    /// [`crate::FaultTransport`] plan can apply. All-zero on transports
+    /// without an armed fault plan.
+    pub struct FaultStats {
+        /// Datagrams silently discarded by the drop probability.
+        dropped,
+        /// Extra copies delivered by the duplicate probability.
+        duplicated,
+        /// Datagrams held back one arrival (swap-with-next reordering).
+        reordered,
+        /// Datagrams delivered with injected byte corruption.
+        corrupted,
+        /// Datagrams held back behind later arrivals (injected delay).
+        delayed,
+        /// Datagrams discarded inside a scheduled partition window.
+        partitioned,
+        /// Datagrams discarded inside a scheduled *virtual-time* partition
+        /// window (see `FaultPlan::time_partitions`).
+        time_partitioned,
+    }
+    /// Atomic backing for [`FaultStats`], bumped by the fault lanes.
+    atomics pub(crate) struct FaultCounters;
 }
 
 impl FaultStats {
     /// Total injected faults across every class.
     pub fn total(&self) -> u64 {
-        self.dropped
-            + self.duplicated
-            + self.reordered
-            + self.corrupted
-            + self.delayed
-            + self.partitioned
-            + self.time_partitioned
+        self.fields().map(|(_, count)| count).sum()
     }
 }
 
-/// Reactor/batch-I/O observability counters, snapshot by
-/// [`Transport::io_stats`]. Transports without a reactor report zeros
-/// (the [`Transport::io_stats`] default returns `None`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoStats {
-    /// Reactor wakeups that found at least one ready channel.
-    pub reactor_wakeups: u64,
-    /// Histogram of datagrams drained per `recvmmsg` batch:
-    /// `[1, 2–7, 8–31, 32+]`.
-    pub recv_batch_hist: [u64; 4],
-    /// `sendmmsg` flushes issued (or logical flushes on the fallback).
-    pub batch_sends_flushed: u64,
-    /// `EAGAIN` results that terminated an edge-drain loop.
-    pub recv_eagain: u64,
-    /// Datagrams longer than the receive buffer: dropped at the socket
-    /// instead of being handed to a decoder clipped.
-    pub recv_truncated: u64,
-    /// Faults injected by an armed [`crate::FaultTransport`] plan
-    /// (all-zero when no fault plan wraps this transport).
-    pub faults: FaultStats,
+crate::counter_family! {
+    /// Reactor/batch-I/O observability counters, snapshot by
+    /// [`Transport::io_stats`]. Transports without a reactor report zeros
+    /// (the [`Transport::io_stats`] default returns `None`).
+    pub struct IoStats {
+        /// Reactor wakeups that found at least one ready channel.
+        reactor_wakeups,
+        /// `sendmmsg` flushes issued (or logical flushes on the fallback).
+        batch_sends_flushed,
+        /// `EAGAIN` results that terminated an edge-drain loop.
+        recv_eagain,
+        /// Datagrams longer than the receive buffer: dropped at the socket
+        /// instead of being handed to a decoder clipped.
+        recv_truncated,
+    }
+    extra {
+        /// Histogram of datagrams drained per `recvmmsg` batch:
+        /// `[1, 2–7, 8–31, 32+]`.
+        pub recv_batch_hist: [u64; 4],
+        /// Faults injected by an armed [`crate::FaultTransport`] plan
+        /// (all-zero when no fault plan wraps this transport).
+        pub faults: FaultStats,
+    }
+    /// Shared atomic backing for [`IoStats`]; written by the reactor (or
+    /// the fallback recv threads) and snapshot on demand.
+    atomics pub(crate) struct IoCounters {
+        pub(crate) recv_batch_hist: [AtomicU64; 4],
+    }
 }
 
 impl IoStats {
@@ -132,17 +137,6 @@ impl IoStats {
     pub fn recv_batches(&self) -> u64 {
         self.recv_batch_hist.iter().sum()
     }
-}
-
-/// Shared atomic backing for [`IoStats`]; written by the reactor (or
-/// the fallback recv threads) and snapshot on demand.
-#[derive(Default)]
-pub(crate) struct IoCounters {
-    pub(crate) wakeups: AtomicU64,
-    pub(crate) recv_batch_hist: [AtomicU64; 4],
-    pub(crate) batch_flushes: AtomicU64,
-    pub(crate) recv_eagain: AtomicU64,
-    pub(crate) recv_truncated: AtomicU64,
 }
 
 impl IoCounters {
@@ -157,19 +151,13 @@ impl IoCounters {
         self.recv_batch_hist[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn snapshot(&self) -> IoStats {
+    /// [`IoCounters::snapshot`] plus the hand-kept batch histogram.
+    pub(crate) fn io_stats(&self) -> IoStats {
         IoStats {
-            reactor_wakeups: self.wakeups.load(Ordering::Relaxed),
-            recv_batch_hist: [
-                self.recv_batch_hist[0].load(Ordering::Relaxed),
-                self.recv_batch_hist[1].load(Ordering::Relaxed),
-                self.recv_batch_hist[2].load(Ordering::Relaxed),
-                self.recv_batch_hist[3].load(Ordering::Relaxed),
-            ],
-            batch_sends_flushed: self.batch_flushes.load(Ordering::Relaxed),
-            recv_eagain: self.recv_eagain.load(Ordering::Relaxed),
-            recv_truncated: self.recv_truncated.load(Ordering::Relaxed),
-            faults: FaultStats::default(),
+            recv_batch_hist: std::array::from_fn(|i| {
+                self.recv_batch_hist[i].load(Ordering::Relaxed)
+            }),
+            ..self.snapshot()
         }
     }
 }
@@ -567,5 +555,30 @@ mod tests {
         assert_send_sync::<SimTransport>();
         assert_send_sync::<Arc<dyn Transport>>();
         assert_send_sync::<Arc<dyn TransportSocket>>();
+    }
+
+    /// A family's table is its contract: the checks walk the generated
+    /// name table, so a counter added to the list is covered unnamed.
+    #[test]
+    fn fault_family_table_is_the_contract() {
+        FaultStats::assert_family_contract("indiss_fault");
+        FaultCounters::assert_twin_contract();
+        let mut stats = FaultStats::default();
+        for (i, name) in FaultStats::FIELDS.iter().enumerate() {
+            *stats.field_mut(name).unwrap() = 1 << i;
+        }
+        assert_eq!(stats.total(), (1 << FaultStats::FIELDS.len()) - 1, "total sums every class");
+    }
+
+    #[test]
+    fn io_family_table_is_the_contract() {
+        IoStats::assert_family_contract("indiss_netfront");
+        IoCounters::assert_twin_contract();
+        // The hand-kept part: the histogram rides along in `io_stats`.
+        let counters = IoCounters::default();
+        [1, 2, 7, 8, 31, 32, 500].into_iter().for_each(|n| counters.record_recv_batch(n));
+        counters.recv_eagain.fetch_add(3, Ordering::Relaxed);
+        let stats = counters.io_stats();
+        assert_eq!((stats.recv_batch_hist, stats.recv_eagain), ([1, 2, 2, 2], 3));
     }
 }

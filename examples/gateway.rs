@@ -48,8 +48,7 @@ fn live_udp_gateway() {
     // Try the real IANA ports first, then an unprivileged offset.
     let mut driver = None;
     for offset in [0u16, 20_000] {
-        let config =
-            IndissConfig::slp_upnp().with_transport(TransportKind::Udp).with_port_offset(offset);
+        let config = IndissConfig::slp_upnp().transport(TransportKind::Udp).port_offset(offset);
         match NetDriver::start(config) {
             Ok(d) => {
                 println!(
@@ -183,7 +182,7 @@ fn simulated_gateway() {
     let gateway = world.add_node("gateway");
     let indiss = Indiss::deploy(
         &gateway,
-        IndissConfig::slp_upnp().with_lazy_units().with_adaptation(AdaptationPolicy {
+        IndissConfig::slp_upnp().lazy().adaptation(AdaptationPolicy {
             threshold_bytes_per_sec: 300.0,
             window: Duration::from_secs(2),
             check_interval: Duration::from_secs(2),

@@ -52,8 +52,8 @@
 //! and both stores enforce configurable capacity and TTL bounds with
 //! deterministic virtual-time expiry — so a gateway under heavy service
 //! churn holds bounded memory. Inspect it via `indiss.registry()`; tune
-//! it via [`core::IndissConfig`]'s `with_registry_capacity`,
-//! `with_cache_capacity`, `with_advert_ttl` and `with_cache_ttl`.
+//! it via [`core::IndissConfig`]'s `registry_capacity`,
+//! `cache_capacity`, `advert_ttl` and `cache_ttl` setters.
 //!
 //! ## Running live: the network front-end
 //!

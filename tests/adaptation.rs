@@ -44,7 +44,7 @@ fn quiet_network_unblocks_via_active_mode() {
     let client_host = world.add_node("listener");
     let _clock = ClockDevice::start(&service_host, UpnpConfig::default()).unwrap();
     let indiss =
-        Indiss::deploy(&service_host, IndissConfig::slp_upnp().with_adaptation(policy())).unwrap();
+        Indiss::deploy(&service_host, IndissConfig::slp_upnp().adaptation(policy())).unwrap();
 
     let listener = client_host.udp_bind(SLP_PORT).unwrap();
     listener.join_multicast(SLP_MULTICAST_GROUP).unwrap();
@@ -79,7 +79,7 @@ fn busy_network_stays_passive() {
     let service_host = world.add_node("upnp-device");
     let _clock = ClockDevice::start(&service_host, UpnpConfig::default()).unwrap();
     let indiss =
-        Indiss::deploy(&service_host, IndissConfig::slp_upnp().with_adaptation(policy())).unwrap();
+        Indiss::deploy(&service_host, IndissConfig::slp_upnp().adaptation(policy())).unwrap();
 
     // Background chatter well above 400 B/s.
     let a = world.add_node("chatter-a");
@@ -110,7 +110,7 @@ fn byebye_removes_service_from_active_sweeps() {
     let client_host = world.add_node("listener");
     let clock = ClockDevice::start(&service_host, UpnpConfig::default()).unwrap();
     let indiss =
-        Indiss::deploy(&service_host, IndissConfig::slp_upnp().with_adaptation(policy())).unwrap();
+        Indiss::deploy(&service_host, IndissConfig::slp_upnp().adaptation(policy())).unwrap();
 
     let listener = client_host.udp_bind(SLP_PORT).unwrap();
     listener.join_multicast(SLP_MULTICAST_GROUP).unwrap();

@@ -68,7 +68,7 @@ fn lazy_composition_tracks_detection() {
     let world = World::new(62);
     let gw = world.add_node("gateway");
     // Configure only SLP and UPnP; Jini traffic must not instantiate one.
-    let indiss = Indiss::deploy(&gw, IndissConfig::slp_upnp().with_lazy_units()).unwrap();
+    let indiss = Indiss::deploy(&gw, IndissConfig::slp_upnp().lazy()).unwrap();
 
     let reggie = world.add_node("reggie");
     let _ls = LookupService::start(&reggie, JiniConfig::default()).unwrap();
