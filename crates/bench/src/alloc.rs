@@ -156,4 +156,84 @@ mod tests {
             assert_eq!(pair[1] - pair[0], per_wakeup, "a wake-up allocated more than its batch");
         }
     }
+
+    /// The gateway's own share of a warm SLP hit. On the sim bus a
+    /// `NetDriver` answers each `SrvRqst` on the sending thread, so one
+    /// round trip is billed here whole: the bus's copies of request and
+    /// reply plus whatever the gateway adds. An echo peer on the same bus
+    /// answers the same 48-B request with a pre-built reply of the
+    /// gateway's length, which costs the bus's copies alone; the gateway
+    /// may add at most 8 B per request to that.
+    #[test]
+    fn warm_slp_hit_allocates_what_an_echo_does() {
+        use indiss_core::{IndissConfig, NetDriver, SdpDescriptor, SdpProtocol};
+        use indiss_net::{Datagram, SimTransport, Transport, TransportSocket};
+        use indiss_slp::{Body, FunctionId, Header, Message, SrvRqst};
+        use std::net::SocketAddrV4;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Arc, OnceLock};
+
+        const WARM_UP: usize = 100;
+        const REQUESTS: usize = 1_000;
+        let dns_sd = SdpDescriptor::dns_sd();
+        let transport: Arc<dyn Transport> = Arc::new(SimTransport::new());
+        let config = IndissConfig::builder().slp().descriptor(dns_sd.clone()).build();
+        let driver =
+            NetDriver::builder(config).transport(Arc::clone(&transport)).start().expect("driver");
+        let (heard, reply_len) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (count, len) = (Arc::clone(&heard), Arc::clone(&reply_len));
+        let client = transport
+            .bind_client_batched(Arc::new(move |batch: Vec<Datagram>| {
+                len.store(batch[0].payload.len(), Ordering::Relaxed);
+                count.fetch_add(batch.len(), Ordering::Relaxed);
+            }))
+            .expect("client");
+        let announce = b"DNSSD ANNOUNCE _scanner._tcp.local SRV scan://10.0.4.1:6566/sane TTL 120";
+        let dns_sd_addr = driver.channel_addr(dns_sd.protocol()).expect("DNS-SD channel");
+        client.send_to(announce, dns_sd_addr).expect("announce");
+        let request = Message::new(
+            Header::new(FunctionId::SrvRqst, 7, "en"),
+            Body::SrvRqst(SrvRqst {
+                service_type: "service:scanner".into(),
+                scopes: "DEFAULT".into(),
+                ..SrvRqst::default()
+            }),
+        )
+        .encode()
+        .expect("encodable");
+        assert_eq!(request.len(), 48);
+
+        // Bytes per round trip to `dst`, after a warm-up; every request
+        // must be answered.
+        let bytes_per_round_trip = |dst: SocketAddrV4| {
+            let before = heard.load(Ordering::Relaxed);
+            for _ in 0..WARM_UP {
+                client.send_to(&request, dst).expect("send");
+            }
+            let (_, bytes) = allocated_during(|| {
+                for _ in 0..REQUESTS {
+                    client.send_to(&request, dst).expect("send");
+                }
+            });
+            assert_eq!(heard.load(Ordering::Relaxed) - before, WARM_UP + REQUESTS, "all answered");
+            bytes / REQUESTS as u64
+        };
+        let gateway = bytes_per_round_trip(driver.channel_addr(SdpProtocol::Slp).expect("SLP"));
+
+        let echo_socket: Arc<OnceLock<Arc<dyn TransportSocket>>> = Arc::new(OnceLock::new());
+        let reply = [(vec![0x5A; reply_len.load(Ordering::Relaxed)], client.local_addr())];
+        let socket = Arc::clone(&echo_socket);
+        let echo = transport
+            .bind_client_batched(Arc::new(move |_| {
+                socket.get().expect("echo bound").send_batch(&reply);
+            }))
+            .expect("echo peer");
+        let _ = echo_socket.set(Arc::clone(&echo));
+        let echoed = bytes_per_round_trip(echo.local_addr());
+        assert!(
+            gateway <= echoed + 8,
+            "a warm SLP hit allocates {gateway} B per round trip, an echo {echoed} B"
+        );
+        driver.shutdown();
+    }
 }

@@ -4,7 +4,7 @@
 //! A gateway on a hostile LAN parses whatever arrives on its SDP
 //! ports; a decoder panic is a remote crash and an attacker-sized
 //! allocation is a remote OOM. This module drives every stateless
-//! datagram codec — [`crate::units::slp::decode_slp_wire`],
+//! datagram codec — [`crate::units::slp::slp_wire_events`],
 //! [`crate::units::upnp::decode_ssdp_wire`],
 //! [`SdpDescriptor::decode_wire`], plus the underlying protocol
 //! parsers (`indiss_slp::Message::decode`,
@@ -21,6 +21,9 @@
 //! Inputs that once exposed a weakness (or pin a nasty edge) are
 //! committed below in [`corpus`] as plain regression tests, so the
 //! full fuzz run is not needed to keep the fixes honest.
+//!
+//! Beyond "never panic", every input is checked against one round-trip
+//! law: the SLP view decode agrees with the owned decode.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 
@@ -213,8 +216,8 @@ fn config_seeds() -> Vec<Vec<u8>> {
 /// `ParsedMessage`s are intentionally discarded.
 fn decode_all(descriptor: &SdpDescriptor, payload: &[u8]) {
     let at = src();
-    let _ = slp::decode_slp_wire(payload, at, true);
-    let _ = slp::decode_slp_wire(payload, at, false);
+    let _ = slp::slp_wire_events(slp::decode_slp(payload), at, true);
+    let _ = slp::slp_wire_events(slp::decode_slp(payload), at, false);
     let _ = upnp::decode_ssdp_wire(payload, at);
     let _ = descriptor.decode_wire(payload, at, true);
     let _ = descriptor.decode_wire(payload, at, false);
@@ -226,6 +229,23 @@ fn decode_all(descriptor: &SdpDescriptor, payload: &[u8]) {
     // signatures would otherwise shield from coverage.
     let _ = mesh_wire::decode_frame(payload, MESH_KEY);
     let _ = mesh_wire::decode_unchecked(payload);
+    slp_views_agree_with_owned_decode(payload);
+}
+
+/// The SLP round-trip law the gateway's hit path rests on: decoding
+/// through the borrowed views agrees with `Message::decode` — both fail,
+/// or both succeed and the views' `to_owned()` is the owned message.
+/// Every fuzz input and every corpus input goes through it.
+fn slp_views_agree_with_owned_decode(payload: &[u8]) {
+    use indiss_slp::{Body, FunctionId, HeaderView, Message, SrvRqstView};
+    let viewed = HeaderView::decode(payload).and_then(|(header, body)| match header.function {
+        FunctionId::SrvRqst => SrvRqstView::decode(body).map(|rqst| Message {
+            header: header.to_owned(),
+            body: Body::SrvRqst(rqst.to_owned()),
+        }),
+        _ => Message::decode_body(header, body),
+    });
+    assert_eq!(viewed.ok(), Message::decode(payload).ok(), "view decode disagrees: {payload:02X?}");
 }
 
 /// The fuzz loop. `FUZZ_ITERS` (default 10 000) scales the walk;

@@ -40,7 +40,7 @@ use std::time::Duration;
 use indiss_net::SimTime;
 
 use crate::config::IndissConfig;
-use crate::event::{EventStream, SdpProtocol};
+use crate::event::{EventStream, SdpProtocol, Symbol};
 use crate::obs::{Tracer, WallClock};
 use crate::pool::WorkerPool;
 use crate::registry::{AdvertDisposition, RegistryConfig, RegistryStats, ServiceRegistry};
@@ -186,10 +186,20 @@ impl GatewayCore {
         request: &EventStream,
         now: SimTime,
     ) -> WarmDecision {
-        let stype = request.service_type_symbol();
+        self.classify_type(origin, request.service_type_symbol(), now)
+    }
+
+    /// [`GatewayCore::classify`] by canonical type, for a request source
+    /// that builds no event stream (the wire SLP hit path). `None` bridges.
+    pub fn classify_type(
+        &self,
+        origin: SdpProtocol,
+        service_type: Option<Symbol>,
+        now: SimTime,
+    ) -> WarmDecision {
         let decision = self.registry.warm_path(
             origin,
-            stype,
+            service_type,
             now,
             self.enable_cache,
             now + self.suppress_window,

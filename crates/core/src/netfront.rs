@@ -6,28 +6,30 @@
 //! life: it opens one transport channel per configured protocol —
 //! joining the multicast groups declared by the protocol's detection
 //! tag, exactly as the monitor does in the simulation — and runs the
-//! existing decode → parse → classify → deliver warm path on the
-//! shared registry of a [`ThreadedGateway`]:
+//! decode → classify → deliver warm path on the shared registry of a
+//! [`ThreadedGateway`]:
 //!
 //! * **detection** (paper §2.1) is passive and port-based, through the
 //!   transport seam: a [`DetectionRecord`] per protocol from data
 //!   arrival alone, with Fig. 5's lazy composition honored — under
 //!   `lazy_units`, a protocol's pipeline activates on its first
 //!   datagram ([`NetDriver::active_units`]);
-//! * **requests** are decoded by the same stateless parser tables the
-//!   deployed units use ([`crate::parse_slp_request`] and friends),
-//!   classified by the same [`GatewayCore::classify`] decision tree,
-//!   and answered from the registry's response cache
-//!   with natively composed replies written back out the socket that
-//!   heard them — the paper's §4.3 best case, end to end on the wire;
+//! * **requests** are decoded by the parser tables the deployed units
+//!   use, classified by the same [`GatewayCore`] decision tree, and
+//!   answered from the response cache with a natively composed reply
+//!   written back out the socket that heard them — the paper's §4.3
+//!   best case, end to end on the wire. An SLP `SrvRqst` builds no
+//!   request stream on the way: it is decoded as views borrowed from
+//!   the datagram ([`indiss_slp::SrvRqstView`]), classified by its
+//!   interned type ([`GatewayCore::classify_type`]), and a hit's
+//!   `SrvRply` is written by the same composer the SLP unit uses;
 //! * **advertisements** go through [`GatewayCore::ingest_advert`] —
 //!   recorded in the shared [`crate::ServiceRegistry`], counted, and
 //!   (with caching on) warming the response cache when they carry an
-//!   endpoint; a UPnP `NOTIFY`, which only points at a
-//!   description document, is enriched through a [`DescriptionFetch`]
-//!   — a real HTTP GET over TCP in a live deployment
-//!   ([`HttpDescriptionFetch`]), the §2.4 socket switch on actual
-//!   sockets;
+//!   endpoint; a UPnP `NOTIFY`, which only points at a description
+//!   document, is enriched through a [`DescriptionFetch`] — a real HTTP
+//!   GET over TCP in a live deployment ([`HttpDescriptionFetch`]), the
+//!   §2.4 socket switch on actual sockets;
 //! * **responses** observed on the wire warm the cache
 //!   ([`GatewayCore::ingest_response`]), as in the simulation.
 //!
@@ -35,9 +37,7 @@
 //! fan-out: a request the registry cannot answer is counted
 //! ([`NetFrontStats::cold_misses`]) and its suppression window armed,
 //! but driving a foreign protocol's multi-step native query process
-//! remains the unit runtime's job. The warm path is one shared
-//! implementation, so the deterministic simulation keeps pinning the
-//! exact semantics the wire serves.
+//! remains the unit runtime's job.
 //!
 //! # Which thread runs what
 //!
@@ -48,14 +48,12 @@
 //! thread for real sockets, the sending thread on the sim bus.
 //!
 //! * A channel that **cannot block** — SLP, a descriptor protocol, UPnP
-//!   without a fetcher — runs the batch to completion right there:
-//!   decode → parse → classify → compose, then one
-//!   [`TransportSocket::send_batch`] flush. No job box, queue node or
-//!   futex wake: at one datagram per wake-up that hand-off cost more
-//!   than the ≈2.5 µs of work it deferred. The kernel's socket buffer is
-//!   this channel's queue: arrivals wait there while the thread works,
-//!   the next `recvmmsg` takes them as one bigger batch, and what
-//!   overflows it the kernel drops (offered −
+//!   without a fetcher — runs the batch to completion right there,
+//!   replies included: no job box, queue node or futex wake, which at
+//!   one datagram per wake-up cost more than the work they deferred. The
+//!   kernel's socket buffer is this channel's queue: arrivals wait there
+//!   while the thread works, the next `recvmmsg` takes them as one
+//!   bigger batch, and what overflows it the kernel drops (offered −
 //!   [`NetFrontStats::datagrams_received`]).
 //! * A channel that **can block** — UPnP with a [`DescriptionFetch`],
 //!   whose `NOTIFY` enrichment may sit in a TCP GET for its whole
@@ -63,9 +61,13 @@
 //!   lane as one job, so the delivery thread never waits on a peer.
 //!
 //! Either way one thread drains a channel, so per-channel FIFO holds,
-//! and both callers run the same `process_batch`. Non-blocking channels
-//! scale past one core by adding delivery threads (per-core reactors,
-//! ROADMAP item 5), not through the pool.
+//! and both callers run the same `process_batch`. Its replies are
+//! written into send slots from a per-thread pool — the
+//! [`crate::EventStreamBuilder`] scratch idiom: take a slot, refill its
+//! buffer in place, give it back — and flushed in one
+//! [`TransportSocket::send_batch`]; a warm SLP hit allocates nothing
+//! beyond the transport's own copy of the datagram. A reply the socket
+//! refuses is counted ([`NetFrontStats::replies_dropped`]).
 //!
 //! Backpressure bounds the one queue that can still grow, a worker lane
 //! behind a blocking channel: each lane (`channel lane % workers`)
@@ -77,6 +79,7 @@
 //! queued channels sharing a worker cannot put 2× the backlog on it;
 //! the delivery thread takes none: it has no queue of its own.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -87,18 +90,19 @@ use std::time::{Duration, Instant};
 
 use indiss_net::{
     BatchedTransport, BindSpec, Datagram, FaultStats, IoStats, SimTime, SimTransport, Transport,
-    TransportKind, TransportSocket,
+    TransportKind, TransportSocket, RECV_BATCH,
 };
 use indiss_upnp::DeviceDescription;
 
 use crate::config::{IndissConfig, UnitSpec};
 use crate::error::{CoreError, CoreResult};
-use crate::event::{EventStream, SdpProtocol};
+use crate::event::{EventStream, SdpProtocol, Symbol};
 use crate::gateway::{BridgeStats, GatewayCore, ThreadedGateway, WarmDecision};
 use crate::monitor::DetectionRecord;
 use crate::obs::{render_interner_gauges, render_tracer, Phase, StatsServer, Tracer};
 use crate::registry::{AdvertDisposition, ServiceRegistry};
 use crate::units::descriptor::SdpDescriptor;
+use crate::units::slp::SlpWire;
 use crate::units::{slp, upnp, ParsedMessage};
 
 // ---------------------------------------------------------------------
@@ -226,40 +230,64 @@ impl WireCodec {
         }
     }
 
-    fn decode(&self, payload: &[u8], src: SocketAddrV4, multicast: bool) -> ParsedMessage {
-        match self {
-            WireCodec::Slp => slp::decode_slp_wire(payload, src, multicast),
+    fn decode<'a>(&self, payload: &'a [u8], src: SocketAddrV4, multicast: bool) -> Inbound<'a> {
+        let parsed = match self {
+            WireCodec::Slp => match slp::decode_slp(payload) {
+                Some(SlpWire::Request(h, _, ty)) => {
+                    return Inbound::Request(WireRequest::Slp(h, ty))
+                }
+                wire => slp::slp_wire_events(wire, src, multicast),
+            },
             WireCodec::Upnp => upnp::decode_ssdp_wire(payload, src),
             WireCodec::Descriptor(d) => d.decode_wire(payload, src, multicast),
+        };
+        match parsed {
+            ParsedMessage::Request(stream) => Inbound::Request(WireRequest::Stream(stream)),
+            other => Inbound::Other(other),
         }
     }
 
-    /// Composes the native reply answering `request` with `response`;
-    /// returns the wire bytes and the requester address. UPnP requests
-    /// return `None`: a native SSDP answer points at a synthetic
-    /// description document, which only the unit runtime hosts.
+    /// Writes the native reply answering `request` (heard from `src`)
+    /// with `response` into `out`; returns the requester to send it to.
+    /// UPnP requests return `None`: a native SSDP answer points at a
+    /// synthetic description document, which only the unit runtime hosts.
     fn compose_reply(
         &self,
         registry: &ServiceRegistry,
-        request: &EventStream,
+        request: &WireRequest<'_>,
         response: &EventStream,
-    ) -> Option<(Vec<u8>, SocketAddrV4)> {
-        match self {
-            WireCodec::Slp => {
-                let (wire, requester, slp_url) = slp::compose_slp_reply(request, response)?;
-                // Record the attribute projection, as the unit does, so
-                // registry contents match the simulated run.
-                registry.set_attr_projection(
-                    SdpProtocol::Slp,
-                    &slp_url,
-                    response.response_attr_iter(),
-                );
-                Some((wire, requester))
+        src: SocketAddrV4,
+        out: &mut Vec<u8>,
+    ) -> Option<SocketAddrV4> {
+        match (request, self) {
+            (WireRequest::Slp(h, ty), _) => {
+                slp::compose_srv_rply(registry, out, h.xid, h.lang, ty, response).map(|()| src)
             }
-            WireCodec::Upnp => None,
-            WireCodec::Descriptor(d) => d.compose_answer_wire(request, response),
+            (WireRequest::Stream(request), WireCodec::Descriptor(d)) => {
+                d.compose_answer_into(request, response, out)
+            }
+            (WireRequest::Stream(_), _) => None,
         }
     }
+}
+
+/// One datagram as the pipeline sees it.
+enum Inbound<'a> {
+    Request(WireRequest<'a>),
+    Other(ParsedMessage),
+}
+
+/// A request as the warm path needs it: an SLP `SrvRqst` stays its
+/// borrowed header and interned type, any other request is its stream.
+enum WireRequest<'a> {
+    Slp(indiss_slp::HeaderView<'a>, Symbol),
+    Stream(EventStream),
+}
+
+thread_local! {
+    /// Send slots reused by this thread's batches (see the module docs):
+    /// at most [`RECV_BATCH`] are kept, none with a buffer over 2 KiB.
+    static SEND_SLOTS: RefCell<Vec<(Vec<u8>, SocketAddrV4)>> = const { RefCell::new(Vec::new()) };
 }
 
 // ---------------------------------------------------------------------
@@ -282,6 +310,8 @@ indiss_net::counter_family! {
         requests_decoded,
         /// Native replies composed and written back out a socket.
         replies_sent,
+        /// Native replies composed but refused by the socket.
+        replies_dropped,
         /// Requests the warm path could not answer (a simulation runtime
         /// would fan these out to the foreign units).
         cold_misses,
@@ -675,7 +705,7 @@ impl NetDriver {
     /// composed replies, then flush them in one
     /// [`TransportSocket::send_batch`] call.
     fn process_batch(inner: &NetDriverInner, channel: &Channel, batch: Vec<Datagram>) {
-        let mut replies: Vec<(Vec<u8>, SocketAddrV4)> = Vec::with_capacity(batch.len());
+        let (mut slots, mut used) = (SEND_SLOTS.with(RefCell::take), 0);
         // Tracing is sampled one datagram per batch: the first datagram
         // gets per-phase spans plus the end-to-end histogram sample,
         // the rest pay only an untaken branch. The batch is the natural
@@ -684,23 +714,24 @@ impl NetDriver {
         // sampling rate backs off exactly when clock reads would hurt
         // (the CI smoke gate pins the tracing-on overhead).
         for (i, dgram) in batch.into_iter().enumerate() {
-            NetDriver::process(inner, channel, dgram, &mut replies, i == 0);
+            NetDriver::process(inner, channel, dgram, &mut slots, &mut used, i == 0);
         }
-        if replies.is_empty() {
-            return;
-        }
-        let socket = channel.socket.get().expect("bound before traffic");
-        let reply_start = inner.core.tracer.stamp();
-        let sent = socket.send_batch(&replies);
-        inner.core.tracer.record(channel.span_lane, Phase::Reply, reply_start);
-        if sent > 0 {
+        if used > 0 {
+            let socket = channel.socket.get().expect("bound before traffic");
+            let reply_start = inner.core.tracer.stamp();
+            let sent = socket.send_batch(&slots[..used]);
+            inner.core.tracer.record(channel.span_lane, Phase::Reply, reply_start);
             inner.counters.replies_sent.fetch_add(sent as u64, Ordering::Relaxed);
+            inner.counters.replies_dropped.fetch_add((used - sent) as u64, Ordering::Relaxed);
             inner.core.counters.responses_composed.fetch_add(sent as u64, Ordering::Relaxed);
         }
+        slots.truncate(RECV_BATCH);
+        slots.retain(|(buf, _)| buf.capacity() <= 2048);
+        SEND_SLOTS.with(|pool| pool.replace(slots));
     }
 
     /// The per-datagram pipeline: decode → parse → classify → deliver.
-    /// Composed replies are pushed onto `replies` for the caller's
+    /// A composed reply is written into send slot `used` for the caller's
     /// batched flush (accounting happens there, after the send). When
     /// `trace_phases` is set (first datagram of a batch) each phase is
     /// stamped into the span ring and the datagram feeds the
@@ -710,7 +741,8 @@ impl NetDriver {
         inner: &NetDriverInner,
         channel: &Channel,
         dgram: Datagram,
-        replies: &mut Vec<(Vec<u8>, SocketAddrV4)>,
+        slots: &mut Vec<(Vec<u8>, SocketAddrV4)>,
+        used: &mut usize,
         trace_phases: bool,
     ) {
         let registry = inner.core.registry();
@@ -729,15 +761,29 @@ impl NetDriver {
         let decoded = channel.codec.decode(&dgram.payload, dgram.src, dgram.is_multicast());
         span(Phase::Decode, e2e_start);
         match decoded {
-            ParsedMessage::Request(request) => {
+            Inbound::Request(request) => {
                 inner.counters.requests_decoded.fetch_add(1, Ordering::Relaxed);
                 let classify_start = stamp();
-                let decision = inner.core.classify(channel.protocol, &request, now);
+                let service_type = match &request {
+                    WireRequest::Slp(_, ty) => Some(ty.clone()),
+                    WireRequest::Stream(stream) => stream.service_type_symbol(),
+                };
+                let decision = inner.core.classify_type(channel.protocol, service_type, now);
                 span(Phase::Classify, classify_start);
                 match decision {
                     WarmDecision::CacheHit(response) => {
                         let deliver_start = stamp();
-                        replies.extend(channel.codec.compose_reply(&registry, &request, &response));
+                        if *used == slots.len() {
+                            slots.push((Vec::new(), dgram.src));
+                        }
+                        let (buf, dst) = &mut slots[*used];
+                        buf.clear();
+                        let codec = &channel.codec;
+                        if let Some(to) =
+                            codec.compose_reply(&registry, &request, &response, dgram.src, buf)
+                        {
+                            (*dst, *used) = (to, *used + 1);
+                        }
                         span(Phase::Deliver, deliver_start);
                     }
                     // "Nothing found" is silence on multicast SDPs; the
@@ -749,7 +795,7 @@ impl NetDriver {
                     }
                 }
             }
-            ParsedMessage::Advert(stream) => {
+            Inbound::Other(ParsedMessage::Advert(stream)) => {
                 inner.counters.adverts_seen.fetch_add(1, Ordering::Relaxed);
                 let stream = inner.maybe_enrich(channel, stream);
                 if inner.core.ingest_advert(channel.protocol, &stream, now)
@@ -758,15 +804,15 @@ impl NetDriver {
                     inner.opportunistic_sweep(&registry, now);
                 }
             }
-            ParsedMessage::Response(stream) => {
+            Inbound::Other(ParsedMessage::Response(stream)) => {
                 if inner.core.ingest_response(&stream, now) {
                     inner.opportunistic_sweep(&registry, now);
                 }
             }
-            ParsedMessage::Handled => {}
-            ParsedMessage::NotRelevant => {
+            Inbound::Other(ParsedMessage::NotRelevant) => {
                 inner.counters.decode_rejected.fetch_add(1, Ordering::Relaxed);
             }
+            Inbound::Other(_) => {} // handled
         }
         // End-to-end datagram latency, bucketed per protocol port on
         // this channel's ring (no cross-thread histogram contention).

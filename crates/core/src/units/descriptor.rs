@@ -28,6 +28,7 @@
 //! hand-written stack.
 
 use std::cell::RefCell;
+use std::io::Write as _;
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::rc::Rc;
 use std::time::Duration;
@@ -160,16 +161,28 @@ impl Template {
     /// Renders the template with the given field values; `None` when a
     /// placeholder has no value to substitute.
     fn render(&self, ty: Option<&str>, url: Option<&str>, ttl: u32) -> Option<String> {
-        let mut out = String::with_capacity(self.raw.len() + 32);
+        let mut out = Vec::with_capacity(self.raw.len() + 32);
+        self.render_into(&mut out, ty, url, ttl)?;
+        Some(String::from_utf8(out).expect("rendered from str parts"))
+    }
+
+    /// [`Template::render`], appended to `out`.
+    fn render_into(
+        &self,
+        out: &mut Vec<u8>,
+        ty: Option<&str>,
+        url: Option<&str>,
+        ttl: u32,
+    ) -> Option<()> {
         for part in &self.parts {
             match part {
-                Part::Literal(lit) => out.push_str(lit),
-                Part::Field(Field::Type) => out.push_str(ty?),
-                Part::Field(Field::Url) => out.push_str(url?),
-                Part::Field(Field::Ttl) => out.push_str(&ttl.to_string()),
+                Part::Literal(lit) => out.extend_from_slice(lit.as_bytes()),
+                Part::Field(Field::Type) => out.extend_from_slice(ty?.as_bytes()),
+                Part::Field(Field::Url) => out.extend_from_slice(url?.as_bytes()),
+                Part::Field(Field::Ttl) => write!(out, "{ttl}").ok()?,
             }
         }
-        Some(out)
+        Some(())
     }
 }
 
@@ -439,15 +452,16 @@ impl SdpDescriptor {
         ParsedMessage::NotRelevant
     }
 
-    /// Composes the answer line for `request` carrying `response`'s
-    /// endpoint, plus the requester to send it to. Pure: the composer
-    /// half [`DescriptorUnit::compose_response`] and the wire front-end
-    /// share.
-    pub(crate) fn compose_answer_wire(
+    /// Writes the answer line for `request` carrying `response`'s
+    /// endpoint into `out`, returning the requester to send it to. Pure:
+    /// the composer half [`DescriptorUnit::compose_response`] and the
+    /// wire front-end share.
+    pub(crate) fn compose_answer_into(
         &self,
         request: &EventStream,
         response: &EventStream,
-    ) -> Option<(Vec<u8>, SocketAddrV4)> {
+        out: &mut Vec<u8>,
+    ) -> Option<SocketAddrV4> {
         let url = response.service_url()?;
         let requester = request.source_addr()?;
         let canonical = request.service_type()?;
@@ -459,8 +473,8 @@ impl SdpDescriptor {
                 _ => None,
             })
             .unwrap_or(self.default_ttl);
-        let line = self.answer.render(Some(canonical), Some(url), ttl)?;
-        Some((line.into_bytes(), requester))
+        self.answer.render_into(out, Some(canonical), Some(url), ttl)?;
+        Some(requester)
     }
 }
 
@@ -613,7 +627,9 @@ impl Unit for DescriptorUnit {
             let inner = self.inner.borrow();
             // Nothing found (or an uncomposable stream): silence, like
             // the multicast SDPs.
-            let Some((wire, requester)) = inner.descriptor.compose_answer_wire(request, response)
+            let mut wire = Vec::new();
+            let Some(requester) =
+                inner.descriptor.compose_answer_into(request, response, &mut wire)
             else {
                 return;
             };

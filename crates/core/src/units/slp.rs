@@ -8,12 +8,12 @@ use std::time::Duration;
 
 use indiss_net::{Completion, Datagram, NetResult, Node, UdpSocket, World};
 use indiss_slp::{
-    AttributeList, Body, Header, Message, SlpError, UrlEntry, DEFAULT_LANG, FLAG_MCAST,
-    SLP_MULTICAST_GROUP, SLP_PORT,
+    AttributeList, Body, FunctionId, Header, HeaderView, Message, SrvRply, SrvRqstView, UrlEntry,
+    DEFAULT_LANG, FLAG_MCAST, SLP_MULTICAST_GROUP, SLP_PORT,
 };
 
 use crate::event::{Event, EventStream, EventStreamBuilder, SdpProtocol, Symbol};
-use crate::registry::{Projection, RegistryConfig, ServiceRegistry};
+use crate::registry::{RegistryConfig, ServiceRegistry};
 use crate::units::{canonical_type_from_slp, ParsedMessage, Unit};
 
 /// SLP unit tuning.
@@ -104,81 +104,55 @@ impl SlpUnit {
         }
         Some(attrs)
     }
-
-    // -------------------------------------------------------------------
-    // Parser side: native SLP message → events
-    // -------------------------------------------------------------------
-
-    // -------------------------------------------------------------------
-    // Composer side: events → native SLP messages
-    // -------------------------------------------------------------------
-
-    /// Builds the SrvRply answering `request` with the contents of
-    /// `response` (Fig. 4's final step, including the
-    /// `service:<type>:soap://…` URL mapping).
-    fn build_srv_rply(request: &EventStream, response: &EventStream) -> Option<(Message, String)> {
-        let xid = request.events().iter().find_map(|e| match e {
-            Event::SlpReqId(x) => Some(*x),
-            _ => None,
-        });
-        let lang = request
-            .events()
-            .iter()
-            .find_map(|e| match e {
-                Event::ReqLang(l) => Some(l.clone()),
-                _ => None,
-            })
-            .unwrap_or_else(|| DEFAULT_LANG.to_owned());
-        let canonical = request.service_type()?.to_owned();
-        let url = response.service_url()?;
-        let slp_url = to_slp_url(&canonical, url);
-        let ttl = response
-            .events()
-            .iter()
-            .find_map(|e| match e {
-                Event::ResTtl(t) => Some(*t),
-                _ => None,
-            })
-            .unwrap_or(1800);
-        let lifetime = u16::try_from(ttl).unwrap_or(u16::MAX);
-        let msg = Message::new(
-            Header::new(indiss_slp::FunctionId::SrvRply, xid.unwrap_or(0), &lang),
-            Body::SrvRply(indiss_slp::SrvRply {
-                error: 0,
-                urls: vec![UrlEntry::new(slp_url.clone(), lifetime)],
-            }),
-        );
-        Some((msg, slp_url))
-    }
 }
 
-/// The Fig. 4 step-1 translation as a pure function: a decoded SrvRqst
-/// becomes a request event stream (or `None` for SLP infrastructure
-/// discovery, which is never bridged). No unit state is involved, so
+/// One bridgeable SLP datagram, its header parsed once.
+pub(crate) enum SlpWire<'a> {
+    /// A `SrvRqst`, still borrowed from the datagram, with its interned
+    /// canonical type.
+    Request(HeaderView<'a>, SrvRqstView<'a>, Symbol),
+    /// Any other message, decoded owned.
+    Other(Message),
+}
+
+/// Decodes one raw SLP payload: a `SrvRqst` as views, which allocates
+/// nothing once its type is interned, anything else as a [`Message`].
+/// `None` when undecodable, or SLP infrastructure discovery (never
+/// bridged).
+pub(crate) fn decode_slp(payload: &[u8]) -> Option<SlpWire<'_>> {
+    let (header, body) = HeaderView::decode(payload).ok()?;
+    if header.function != FunctionId::SrvRqst {
+        return Message::decode_body(header, body).ok().map(SlpWire::Other);
+    }
+    let request = SrvRqstView::decode(body).ok()?;
+    let canonical = canonical_type_from_slp(request.service_type);
+    let infrastructure = canonical == "directory-agent" || canonical == "service-agent";
+    (!infrastructure).then_some(SlpWire::Request(header, request, canonical))
+}
+
+/// The Fig. 4 step-1 translation as a pure function: a bridgeable
+/// SrvRqst becomes a request event stream. No unit state is involved, so
 /// this runs on any thread — the multi-threaded gateway benchmark
 /// drives the exact parser the deployed SLP unit uses.
 fn srv_rqst_events(
-    header: Header,
-    req: indiss_slp::SrvRqst,
+    header: HeaderView<'_>,
+    req: SrvRqstView<'_>,
+    canonical: Symbol,
     src: SocketAddrV4,
     multicast: bool,
-) -> Option<EventStream> {
-    let canonical = canonical_type_from_slp(&req.service_type);
-    if canonical == "directory-agent" || canonical == "service-agent" {
-        return None;
-    }
+) -> EventStream {
     let mut body = EventStreamBuilder::with_capacity(10);
     body.push(Event::NetType(SdpProtocol::Slp));
     body.push(if multicast { Event::NetMulticast } else { Event::NetUnicast });
     body.push(Event::NetSourceAddr(src));
     body.push(Event::ServiceRequest);
     body.push(Event::SlpReqVersion(indiss_slp::SLP_VERSION));
-    body.push(Event::SlpReqScope(req.scopes.as_str().into()));
-    body.push(Event::SlpReqPredicate(req.predicate));
+    body.push(Event::SlpReqScope(req.scopes.into()));
+    body.push(Event::SlpReqPredicate(req.predicate.to_owned()));
     body.push(Event::SlpReqId(header.xid));
-    body.push(Event::ReqLang(header.lang));
+    body.push(Event::ReqLang(header.lang.to_owned()));
     body.push(Event::ServiceType(canonical));
-    Some(body.build())
+    body.build()
 }
 
 /// Decodes one raw SLP datagram payload and, when it is a bridgeable
@@ -189,11 +163,8 @@ pub fn parse_slp_request(
     src: SocketAddrV4,
     multicast: bool,
 ) -> Option<EventStream> {
-    let msg = Message::decode(payload).ok()?;
-    match msg.body {
-        Body::SrvRqst(req) => srv_rqst_events(msg.header, req, src, multicast),
-        _ => None,
-    }
+    let SlpWire::Request(header, req, canonical) = decode_slp(payload)? else { return None };
+    Some(srv_rqst_events(header, req, canonical, src, multicast))
 }
 
 /// The advert-side translation as a pure function: an SLP registration /
@@ -228,23 +199,26 @@ fn slp_advert_events(
     ParsedMessage::Advert(EventStream::framed(body))
 }
 
-/// The stateless SLP parser table: one decoded message → events. Both
+/// The stateless SLP parser table: one decoded datagram → events. Both
 /// [`SlpUnit::parse`] (which additionally answers `AttrRqst`s from the
 /// shared registry) and the wire front-end's
 /// [`crate::netfront::NetDriver`] go through this single function, so
 /// the simulated and the real-socket pipelines translate identically by
 /// construction. `AttrRqst` is `NotRelevant` here — answering it needs
 /// unit state.
-pub(crate) fn slp_message_events(
-    msg: Message,
+pub(crate) fn slp_wire_events(
+    wire: Option<SlpWire<'_>>,
     src: SocketAddrV4,
     multicast: bool,
 ) -> ParsedMessage {
+    let msg = match wire {
+        Some(SlpWire::Request(header, req, canonical)) => {
+            return ParsedMessage::Request(srv_rqst_events(header, req, canonical, src, multicast));
+        }
+        Some(SlpWire::Other(msg)) => msg,
+        None => return ParsedMessage::NotRelevant,
+    };
     match msg.body {
-        Body::SrvRqst(req) => match srv_rqst_events(msg.header, req, src, multicast) {
-            Some(stream) => ParsedMessage::Request(stream),
-            None => ParsedMessage::NotRelevant, // infrastructure discovery
-        },
         Body::SaAdvert(advert) => {
             // SAAdverts announce an agent, not a concrete service; use
             // the embedded attributes when they carry a service URL.
@@ -276,41 +250,45 @@ pub(crate) fn slp_message_events(
     }
 }
 
-/// Decodes one raw SLP payload through the full stateless parser table
-/// ([`slp_message_events`]): requests, adverts and observed responses.
-pub(crate) fn decode_slp_wire(payload: &[u8], src: SocketAddrV4, multicast: bool) -> ParsedMessage {
-    match Message::decode(payload) {
-        Ok(msg) => slp_message_events(msg, src, multicast),
-        Err(_) => ParsedMessage::NotRelevant,
-    }
-}
-
-/// Composes the wire bytes of the SrvRply answering `request` with
-/// `response`, plus the requester to send them to and the mapped SLP
-/// URL (for recording the attribute projection). Pure: this is the
-/// composer half the real-socket front-end shares with [`SlpUnit`].
-pub(crate) fn compose_slp_reply(
-    request: &EventStream,
+/// Fig. 4's final step, the one SrvRply composer both runtimes use:
+/// appends the reply answering a request — its `xid`, `lang` and
+/// canonical type — with `response` to `out`, and records the response's
+/// attributes under the SLP URL it carries, so a follow-up `AttrRqst` can
+/// be answered. `None`, with nothing written, when the response holds no
+/// endpoint (multicast etiquette: silence) or does not fit the wire.
+pub(crate) fn compose_srv_rply(
+    registry: &ServiceRegistry,
+    out: &mut Vec<u8>,
+    xid: u16,
+    lang: &str,
+    canonical: &str,
     response: &EventStream,
-) -> Option<(Vec<u8>, SocketAddrV4, String)> {
-    // Nothing found: multicast etiquette is silence.
-    response.service_url()?;
-    let requester = request.source_addr()?;
-    let (msg, slp_url) = SlpUnit::build_srv_rply(request, response)?;
-    Some((msg.encode().ok()?, requester, slp_url))
+) -> Option<()> {
+    let endpoint = response.service_url()?;
+    let ttl = response.events().iter().find_map(|e| match e {
+        Event::ResTtl(t) => Some(*t),
+        _ => None,
+    });
+    let lifetime = u16::try_from(ttl.unwrap_or(1800)).unwrap_or(u16::MAX);
+    let url_parts = slp_url_parts(canonical, endpoint);
+    let url = SrvRply::encode_one_into(out, xid, lang, &url_parts, lifetime).ok()?;
+    registry.set_attr_projection(SdpProtocol::Slp, url, response.response_attr_iter());
+    Some(())
 }
 
 /// Maps a protocol-neutral endpoint URL to an SLP service URL, exactly as
 /// the paper's Fig. 4 shows: `soap://h:p/path` + type `clock` →
-/// `service:clock:soap://h:p/path`.
-fn to_slp_url(canonical_type: &str, endpoint: &str) -> String {
+/// `service:clock:soap://h:p/path`. The URL is the parts concatenated.
+fn slp_url_parts<'a>(canonical_type: &'a str, endpoint: &'a str) -> [&'a str; 4] {
     if endpoint.starts_with("service:") {
-        return endpoint.to_owned(); // already native SLP
+        return ["", "", "", endpoint]; // already native SLP
     }
-    match endpoint.split_once("://") {
-        Some((scheme, rest)) => format!("service:{canonical_type}:{scheme}://{rest}"),
-        None => format!("service:{canonical_type}://{endpoint}"),
-    }
+    let sep = if endpoint.contains("://") { ":" } else { "://" };
+    ["service:", canonical_type, sep, endpoint]
+}
+
+fn to_slp_url(canonical_type: &str, endpoint: &str) -> String {
+    slp_url_parts(canonical_type, endpoint).concat()
 }
 
 impl SlpUnit {
@@ -401,15 +379,12 @@ impl Unit for SlpUnit {
     }
 
     fn parse(&self, _world: &World, dgram: &Datagram) -> ParsedMessage {
-        let msg = match Message::decode(&dgram.payload) {
-            Ok(m) => m,
-            Err(SlpError::BadVersion(_)) | Err(_) => return ParsedMessage::NotRelevant,
-        };
+        let wire = decode_slp(&dgram.payload);
         // The one stateful row of the parser table: attribute requests
         // for services this unit bridged are answered from the shared
         // registry's projections. Everything else is the stateless
         // table shared with the wire front-end.
-        if let Body::AttrRqst(req) = &msg.body {
+        if let Some(SlpWire::Other(msg @ Message { body: Body::AttrRqst(req), .. })) = &wire {
             let answer = self.bridged_attributes(&req.url);
             return if let Some(attrs) = answer {
                 let reply = Message::new(
@@ -425,7 +400,7 @@ impl Unit for SlpUnit {
                 ParsedMessage::NotRelevant
             };
         }
-        slp_message_events(msg, dgram.src, dgram.is_multicast())
+        slp_wire_events(wire, dgram.src, dgram.is_multicast())
     }
 
     fn execute_query(&self, world: &World, request: &EventStream, reply: Completion<EventStream>) {
@@ -476,36 +451,27 @@ impl Unit for SlpUnit {
     }
 
     fn compose_response(&self, world: &World, request: &EventStream, response: &EventStream) {
-        if response.service_url().is_none() {
-            return; // nothing found: multicast etiquette is silence
+        let (Some(requester), Some(canonical)) = (request.source_addr(), request.service_type())
+        else {
+            return;
+        };
+        let xid = request.events().iter().find_map(|e| match e {
+            Event::SlpReqId(x) => Some(*x),
+            _ => None,
+        });
+        let lang = request.events().iter().find_map(|e| match e {
+            Event::ReqLang(l) => Some(l.as_str()),
+            _ => None,
+        });
+        let mut wire = Vec::with_capacity(128);
+        let inner = self.inner.borrow();
+        let (xid, lang) = (xid.unwrap_or(0), lang.unwrap_or(DEFAULT_LANG));
+        if compose_srv_rply(&inner.registry, &mut wire, xid, lang, canonical, response).is_none() {
+            return;
         }
-        let Some(requester) = request.source_addr() else {
-            return;
-        };
-        let Some((msg, slp_url)) = Self::build_srv_rply(request, response) else {
-            return;
-        };
-        // Record attributes in the shared registry so follow-up
-        // AttrRqsts can be answered.
-        let registry = self.inner.borrow().registry.clone();
-        registry.set_projection(
-            SdpProtocol::Slp,
-            &slp_url,
-            Projection {
-                attrs: response
-                    .response_attrs()
-                    .into_iter()
-                    .map(|(t, v)| (t.to_owned(), v.to_owned()))
-                    .collect(),
-                ..Projection::default()
-            },
-        );
-        let delay = self.inner.borrow().config.translation_delay;
-        let socket = self.inner.borrow().socket.clone();
-        world.schedule_in(delay, move |_| {
-            if let Ok(wire) = msg.encode() {
-                let _ = socket.send_to(&wire, requester);
-            }
+        let socket = inner.socket.clone();
+        world.schedule_in(inner.config.translation_delay, move |_| {
+            let _ = socket.send_to(&wire, requester);
         });
     }
 
@@ -781,5 +747,70 @@ mod tests {
         );
         assert_eq!(to_slp_url("clock", "1.2.3.4:5"), "service:clock://1.2.3.4:5");
         assert_eq!(to_slp_url("x", "service:x://h"), "service:x://h");
+    }
+
+    /// The composer law, over generated cases: the SrvRply the gateway
+    /// writes from borrowed parts is byte for byte `Message::encode` of
+    /// the message the unit used to build (rebuilt here as the reference),
+    /// decodes back to it, appends to a non-empty buffer without touching
+    /// what is there, and records the response's attributes under its URL.
+    #[test]
+    fn composed_srv_rply_is_the_reference_message_encoded() {
+        fn reference(xid: u16, lang: &str, ty: &str, endpoint: &str, ttl: Option<u32>) -> Message {
+            let url = match endpoint.split_once("://") {
+                _ if endpoint.starts_with("service:") => endpoint.to_owned(),
+                Some((scheme, rest)) => format!("service:{ty}:{scheme}://{rest}"),
+                None => format!("service:{ty}://{endpoint}"),
+            };
+            let lifetime = u16::try_from(ttl.unwrap_or(1800)).unwrap_or(u16::MAX);
+            Message::new(
+                Header::new(FunctionId::SrvRply, xid, lang),
+                Body::SrvRply(SrvRply { error: 0, urls: vec![UrlEntry::new(url, lifetime)] }),
+            )
+        }
+        let registry = ServiceRegistry::new(RegistryConfig::default());
+        let endpoints =
+            ["soap://10.0.0.2:4005/service/timer/control", "10.0.0.3:515", "service:x://h"];
+        let ttls = [None, Some(0), Some(1800), Some(65_535), Some(65_536), Some(u32::MAX)];
+        let attr_sets: [&[(&str, &str)]; 3] =
+            [&[], &[("friendlyName", "Clock")], &[("a", "1"), ("b", "")]];
+        let mut generated = Vec::new();
+        for xid in [0, 1, 0xBEEF, u16::MAX] {
+            for lang in ["en", "de-CH", "i-klingon"] {
+                for ty in ["clock", "printer"] {
+                    for endpoint in endpoints {
+                        for ttl in ttls {
+                            for attrs in attr_sets {
+                                generated.push((xid, lang, ty, endpoint, ttl, attrs));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(generated.len(), 4 * 3 * 2 * 3 * 6 * 3);
+        for (xid, lang, ty, endpoint, ttl, attrs) in generated {
+            let mut body = vec![Event::ServiceResponse, Event::ResOk];
+            body.extend(ttl.map(Event::ResTtl));
+            body.push(Event::ResServUrl(endpoint.to_owned()));
+            body.extend(
+                attrs.iter().map(|(t, v)| Event::ResAttr { tag: (*t).into(), value: (*v).into() }),
+            );
+            let response = EventStream::framed(body);
+            let expected = reference(xid, lang, ty, endpoint, ttl);
+            let mut out = b"held".to_vec();
+            assert!(compose_srv_rply(&registry, &mut out, xid, lang, ty, &response).is_some());
+            assert_eq!(out[4..], expected.encode().unwrap()[..], "{xid} {lang} {endpoint}");
+            assert_eq!(Message::decode(&out[4..]).unwrap(), expected);
+            let mut appended = b"held".to_vec();
+            expected.encode_into(&mut appended).unwrap();
+            assert_eq!(appended, out);
+            let Body::SrvRply(rply) = &expected.body else { unreachable!() };
+            let projection = registry.projection(SdpProtocol::Slp, &rply.urls[0].url);
+            let held: Vec<_> = projection.expect("recorded").attrs;
+            let want: Vec<_> =
+                attrs.iter().map(|(t, v)| ((*t).to_owned(), (*v).to_owned())).collect();
+            assert_eq!(held, want);
+        }
     }
 }

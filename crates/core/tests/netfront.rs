@@ -7,6 +7,7 @@
 //! Real-socket halves skip (with a log line) when the environment forbids
 //! binding loopback sockets; the Sim halves always run.
 
+use std::net::SocketAddrV4;
 use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -16,7 +17,8 @@ use indiss_core::{
     NetDriver, Phase, SdpDescriptor, SdpProtocol, StaticDescriptions,
 };
 use indiss_net::{
-    BatchedTransport, Datagram, SimTransport, Transport, TransportKind, TransportSocket,
+    BatchedTransport, BindSpec, Datagram, NetError, NetResult, SimTransport, Transport,
+    TransportBatchSink, TransportKind, TransportSocket,
 };
 use indiss_upnp::{DeviceDescription, ServiceDescription};
 
@@ -511,5 +513,71 @@ fn inline_and_queued_channels_record_on_rings_of_their_own() {
             assert_eq!(span.ring, 0, "job spans stay on the worker's ring: {span:?}");
         }
     }
+    driver.shutdown();
+}
+
+/// A transport over the sim bus whose bound channels refuse every send —
+/// what a gateway meets when every requester in a flush is unsendable.
+struct RefusingTransport(SimTransport);
+
+struct RefusingSocket(Arc<dyn TransportSocket>);
+
+impl TransportSocket for RefusingSocket {
+    fn send_to(&self, _: &[u8], _: SocketAddrV4) -> NetResult<usize> {
+        Err(NetError::SocketClosed)
+    }
+
+    fn local_addr(&self) -> SocketAddrV4 {
+        self.0.local_addr()
+    }
+}
+
+impl Transport for RefusingTransport {
+    fn kind(&self) -> TransportKind {
+        TransportKind::Sim
+    }
+
+    fn bind_batched(
+        &self,
+        spec: &BindSpec,
+        sink: TransportBatchSink,
+    ) -> NetResult<Arc<dyn TransportSocket>> {
+        Ok(Arc::new(RefusingSocket(self.0.bind_batched(spec, sink)?)))
+    }
+
+    fn bind_client_batched(&self, sink: TransportBatchSink) -> NetResult<Arc<dyn TransportSocket>> {
+        self.0.bind_client_batched(sink)
+    }
+
+    fn shutdown(&self) {
+        self.0.shutdown();
+    }
+}
+
+/// A composed reply the socket refuses is counted once, in
+/// `replies_dropped`, and neither as sent nor as a composed response.
+#[test]
+fn refused_replies_are_counted_as_dropped() {
+    let sim = SimTransport::new();
+    let transport: Arc<dyn Transport> = Arc::new(RefusingTransport(sim.clone()));
+    let driver = NetDriver::builder(IndissConfig::builder().slp().build())
+        .transport(transport)
+        .start()
+        .expect("driver");
+    let response = EventStream::framed(vec![
+        Event::ServiceResponse,
+        Event::ResOk,
+        Event::ServiceType("clock".into()),
+        Event::ResServUrl("soap://10.0.0.2:4004/ctl".into()),
+    ]);
+    driver.registry().warm("clock", response, driver.now());
+    let client = sim.bind_client(Arc::new(|_| {})).expect("client");
+    let slp = driver.channel_addr(SdpProtocol::Slp).expect("slp channel");
+    for xid in 0..3 {
+        client.send_to(&slp_request("service:clock", xid), slp).expect("send");
+    }
+    let front = driver.front_stats();
+    assert_eq!((front.replies_sent, front.replies_dropped), (0, 3));
+    assert_eq!(driver.stats().responses_composed, 0);
     driver.shutdown();
 }

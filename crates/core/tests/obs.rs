@@ -370,6 +370,7 @@ indiss_netfront_datagrams_received 7
 indiss_netfront_dropped_backpressure 0
 indiss_netfront_requests_decoded 4
 indiss_netfront_replies_sent 2
+indiss_netfront_replies_dropped 0
 indiss_netfront_cold_misses 1
 indiss_netfront_adverts_seen 2
 indiss_netfront_descriptions_fetched 0

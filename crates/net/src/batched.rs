@@ -33,6 +33,9 @@ use crate::sys;
 /// ([`IoStats::recv_truncated`]), never delivered clipped.
 pub(crate) const RECV_BUF: usize = 2048;
 
+/// Most datagrams one `recvmmsg` takes, and most replies one `sendmmsg` stages.
+pub const RECV_BATCH: usize = 64;
+
 /// How long a fallback recv thread blocks per `recv_from` before
 /// re-checking the shutdown flag.
 #[cfg(not(all(target_os = "linux", feature = "epoll")))]
@@ -287,7 +290,8 @@ impl TransportSocket for BatchedSocketHandle {
                     }
                     break;
                 }
-                Err(_) => break,
+                // An unsendable head (a port-0 requester) must not silence the rest.
+                Err(_) => remaining = &remaining[1..],
             }
         }
         sent
@@ -442,6 +446,40 @@ mod tests {
         assert_eq!(batch[0].payload, vec![9u8; 1_400]);
         assert_eq!(transport.io_stats().expect("io stats").recv_truncated, 1);
         assert!(rx.try_recv().is_err(), "nothing else was delivered");
+        transport.shutdown();
+    }
+
+    /// A reply that cannot be sent — to port 0, which any requester can
+    /// write into its source address — is skipped: the replies behind it
+    /// in the same flush still go out. Same contract on the reactor and
+    /// on the fallback engine.
+    #[test]
+    fn unsendable_reply_does_not_silence_the_rest_of_its_flush() {
+        let transport = BatchedTransport::loopback();
+        let (sink, rx) = batch_sink();
+        let Ok(good) = transport.bind_client_batched(sink) else {
+            eprintln!("skipping unsendable_reply_does_not_silence_the_rest_of_its_flush: no bind");
+            return;
+        };
+        let sender = transport.bind_client_batched(Arc::new(|_| {})).unwrap();
+        let (good, bad) = (good.local_addr(), SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0));
+        for (flush, dsts) in [[bad, good, good], [good, bad, good]].into_iter().enumerate() {
+            let replies: Vec<(Vec<u8>, SocketAddrV4)> = dsts
+                .iter()
+                .enumerate()
+                .map(|(i, dst)| (vec![flush as u8, i as u8], *dst))
+                .collect();
+            assert_eq!(sender.send_batch(&replies), 2, "flush {flush}: both good replies sent");
+            let mut heard = Vec::new();
+            while heard.len() < 2 {
+                let batch = rx.recv_timeout(Duration::from_secs(3)).expect("good reply arrives");
+                heard.extend(batch.into_iter().map(|d| d.payload));
+            }
+            heard.sort();
+            let expected: Vec<Vec<u8>> =
+                (0..3).filter(|&i| dsts[i] == good).map(|i| vec![flush as u8, i as u8]).collect();
+            assert_eq!(heard, expected, "flush {flush}");
+        }
         transport.shutdown();
     }
 

@@ -73,7 +73,7 @@ mod transport;
 mod udp;
 mod world;
 
-pub use batched::BatchedTransport;
+pub use batched::{BatchedTransport, RECV_BATCH};
 pub use completion::{Collector, Completion};
 pub use error::{NetError, NetResult};
 pub use fault::{FaultPlan, FaultTransport};

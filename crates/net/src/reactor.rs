@@ -28,13 +28,11 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::batched::RECV_BUF;
+use crate::batched::{RECV_BATCH, RECV_BUF};
 use crate::sys;
 use crate::transport::{IoCounters, TransportBatchSink};
 use crate::udp::Datagram;
 
-/// Max datagrams drained per `recvmmsg` call (the slab size).
-pub(crate) const RECV_BATCH: usize = 64;
 /// `epoll_wait` timeout between stop-flag checks. Long, because the
 /// wake eventfd — not this timeout — is what makes shutdown and
 /// registration prompt; the timeout only bounds a lost wakeup.

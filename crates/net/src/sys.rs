@@ -30,7 +30,7 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use std::os::fd::RawFd;
 use std::os::raw::{c_int, c_uint, c_void};
 
-use crate::reactor::RECV_BATCH;
+use crate::batched::RECV_BATCH;
 
 // -- constants (uapi/linux) -------------------------------------------
 

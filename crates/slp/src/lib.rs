@@ -32,6 +32,16 @@
 //! assert_eq!(outcome.urls.len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+//!
+//! ## Borrowed views
+//!
+//! Each structure has one byte parser and one writer. [`HeaderView`] and
+//! [`SrvRqstView`] decode borrowed from the datagram ([`Header::decode`]
+//! and the `SrvRqst` arm of [`Message::decode`] are `to_owned()` over
+//! them); [`Message::encode_into`] appends to a caller's buffer, and
+//! [`SrvRply::encode_one_into`] writes a one-entry reply from borrowed
+//! parts through the same writers — request bytes to reply bytes in a
+//! reused buffer, with nothing allocated.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,7 +67,7 @@ pub use error::{SlpError, SlpResult};
 pub use filter::Filter;
 pub use messages::{
     AttrRply, AttrRqst, Body, DaAdvert, Message, SaAdvert, SrvAck, SrvDeReg, SrvReg, SrvRply,
-    SrvRqst, SrvTypeRply, SrvTypeRqst,
+    SrvRqst, SrvRqstView, SrvTypeRply, SrvTypeRqst,
 };
 pub use url::{ServiceType, ServiceUrl, UrlEntry};
-pub use wire::{ByteReader, ByteWriter, Header};
+pub use wire::{ByteReader, ByteWriter, Header, HeaderView};

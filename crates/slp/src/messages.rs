@@ -3,7 +3,7 @@
 use crate::consts::{ErrorCode, FunctionId};
 use crate::error::{SlpError, SlpResult};
 use crate::url::UrlEntry;
-use crate::wire::{ByteReader, ByteWriter, Header};
+use crate::wire::{ByteReader, ByteWriter, Header, HeaderView};
 
 /// A complete SLP message: common header plus function-specific body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,6 +77,55 @@ pub struct SrvRqst {
     pub spi: String,
 }
 
+/// A [`SrvRqst`] borrowed from the datagram it arrived in — the one
+/// `SrvRqst` body parser. A gateway classifying a request reads its
+/// service type from here without copying a string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SrvRqstView<'a> {
+    /// Previous-responder list.
+    pub prlist: &'a str,
+    /// Requested service type.
+    pub service_type: &'a str,
+    /// Comma-separated scope list.
+    pub scopes: &'a str,
+    /// LDAPv3 predicate.
+    pub predicate: &'a str,
+    /// SLP SPI.
+    pub spi: &'a str,
+}
+
+impl<'a> SrvRqstView<'a> {
+    /// Decodes a `SrvRqst` body (what follows its [`crate::HeaderView`]),
+    /// failing exactly as the `SrvRqst` arm of [`Message::decode`] does.
+    pub fn decode(body: &'a [u8]) -> SlpResult<SrvRqstView<'a>> {
+        let mut r = ByteReader::new(body, "body");
+        let view = SrvRqstView::read(&mut r)?;
+        r.finish()?;
+        Ok(view)
+    }
+
+    fn read(r: &mut ByteReader<'a>) -> SlpResult<SrvRqstView<'a>> {
+        Ok(SrvRqstView {
+            prlist: r.str()?,
+            service_type: r.str()?,
+            scopes: r.str()?,
+            predicate: r.str()?,
+            spi: r.str()?,
+        })
+    }
+
+    /// The owned request.
+    pub fn to_owned(self) -> SrvRqst {
+        SrvRqst {
+            prlist: self.prlist.into(),
+            service_type: self.service_type.into(),
+            scopes: self.scopes.into(),
+            predicate: self.predicate.into(),
+            spi: self.spi.into(),
+        }
+    }
+}
+
 /// Service Reply: error code plus matched URL entries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SrvRply {
@@ -84,6 +133,31 @@ pub struct SrvRply {
     pub error: u16,
     /// Matching URL entries.
     pub urls: Vec<UrlEntry>,
+}
+
+impl SrvRply {
+    /// Appends a successful one-entry `SrvRply` to `out` from borrowed
+    /// parts, through the header and URL-entry writers
+    /// [`Message::encode_into`] uses: the bytes are those of the
+    /// equivalent [`Message`]. The URL is `url` concatenated; it is
+    /// returned, borrowed from `out`. On [`SlpError::FieldOverflow`] `out`
+    /// is left as it was.
+    pub fn encode_one_into<'o>(
+        out: &'o mut Vec<u8>,
+        xid: u16,
+        lang: &str,
+        url: &[&str],
+        lifetime: u16,
+    ) -> SlpResult<&'o str> {
+        let header = HeaderView { function: FunctionId::SrvRply, flags: 0, xid, lang };
+        header.encode_into(out, |w| {
+            w.u16(0).u16(1); // error, URL count
+            UrlEntry::encode_parts(w, lifetime, url)
+        })?;
+        let end = out.len() - 1; // before the auth-block count
+        let url_len: usize = url.iter().map(|p| p.len()).sum();
+        Ok(std::str::from_utf8(&out[end - url_len..end]).expect("written from str parts"))
+    }
 }
 
 /// Service Registration.
@@ -215,7 +289,20 @@ impl Message {
     ///
     /// [`SlpError::FieldOverflow`] when a string exceeds its field.
     pub fn encode(&self) -> SlpResult<Vec<u8>> {
-        let mut w = ByteWriter::new();
+        // Room for a typical discovery message: one allocation, no regrowth.
+        let mut out = Vec::with_capacity(128);
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the full message to `out`: header and body in one buffer,
+    /// the header's length field back-patched. On
+    /// [`SlpError::FieldOverflow`] `out` is left as it was.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> SlpResult<()> {
+        self.header.view().encode_into(out, |w| self.encode_body(w))
+    }
+
+    fn encode_body(&self, w: &mut ByteWriter) -> SlpResult<()> {
         match &self.body {
             Body::SrvRqst(b) => {
                 w.string(&b.prlist)?;
@@ -230,11 +317,11 @@ impl Message {
                     .map_err(|_| SlpError::FieldOverflow { context: "url count" })?;
                 w.u16(count);
                 for entry in &b.urls {
-                    entry.encode(&mut w)?;
+                    entry.encode(w)?;
                 }
             }
             Body::SrvReg(b) => {
-                b.entry.encode(&mut w)?;
+                b.entry.encode(w)?;
                 w.string(&b.service_type)?;
                 w.string(&b.scopes)?;
                 w.string(&b.attrs)?;
@@ -242,7 +329,7 @@ impl Message {
             }
             Body::SrvDeReg(b) => {
                 w.string(&b.scopes)?;
-                b.entry.encode(&mut w)?;
+                b.entry.encode(w)?;
                 w.string(&b.tags)?;
             }
             Body::SrvAck(b) => {
@@ -292,7 +379,7 @@ impl Message {
                 w.u8(0); // auth blocks
             }
         }
-        self.header.encode_with_body(&w.finish())
+        Ok(())
     }
 
     /// Decodes a full message from wire bytes.
@@ -301,16 +388,16 @@ impl Message {
     ///
     /// Any [`SlpError`] from the header or body codecs.
     pub fn decode(buf: &[u8]) -> SlpResult<Message> {
-        let (header, body_bytes) = Header::decode(buf)?;
+        let (header, body) = HeaderView::decode(buf)?;
+        Message::decode_body(header, body)
+    }
+
+    /// Decodes the body of a message whose header is already parsed, so
+    /// a caller that looked at the header first parses it once.
+    pub fn decode_body(header: HeaderView<'_>, body_bytes: &[u8]) -> SlpResult<Message> {
         let mut r = ByteReader::new(body_bytes, "body");
         let body = match header.function {
-            FunctionId::SrvRqst => Body::SrvRqst(SrvRqst {
-                prlist: r.string()?,
-                service_type: r.string()?,
-                scopes: r.string()?,
-                predicate: r.string()?,
-                spi: r.string()?,
-            }),
+            FunctionId::SrvRqst => Body::SrvRqst(SrvRqstView::read(&mut r)?.to_owned()),
             FunctionId::SrvRply => {
                 let error = r.u16()?;
                 let count = r.u16()? as usize;
@@ -387,13 +474,8 @@ impl Message {
                 Body::SaAdvert(SaAdvert { url, scopes, attrs })
             }
         };
-        if r.remaining() != 0 {
-            return Err(SlpError::LengthMismatch {
-                declared: body_bytes.len() - r.remaining(),
-                actual: body_bytes.len(),
-            });
-        }
-        Ok(Message { header, body })
+        r.finish()?;
+        Ok(Message { header: header.to_owned(), body })
     }
 }
 

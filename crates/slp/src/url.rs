@@ -170,9 +170,18 @@ impl UrlEntry {
 
     /// Encodes per RFC 2608 §4.3 (reserved byte, lifetime, URL, 0 auth blocks).
     pub fn encode(&self, w: &mut crate::wire::ByteWriter) -> SlpResult<()> {
-        w.u8(0); // reserved
-        w.u16(self.lifetime);
-        w.string(&self.url)?;
+        UrlEntry::encode_parts(w, self.lifetime, &[&self.url])
+    }
+
+    /// Encodes an entry whose URL is the concatenation of `url` — the
+    /// one URL-entry writer, for owned entries and borrowed parts alike.
+    pub(crate) fn encode_parts(
+        w: &mut crate::wire::ByteWriter,
+        lifetime: u16,
+        url: &[&str],
+    ) -> SlpResult<()> {
+        w.u8(0).u16(lifetime); // reserved, lifetime
+        w.string_parts(url)?;
         w.u8(0); // number of auth blocks
         Ok(())
     }

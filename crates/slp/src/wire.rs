@@ -63,11 +63,23 @@ impl<'a> ByteReader<'a> {
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
+    /// Reads a `u16`-length-prefixed UTF-8 string, borrowed.
+    pub fn str(&mut self) -> SlpResult<&'a str> {
+        let len = self.u16()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| SlpError::BadString)
+    }
+
     /// Reads a `u16`-length-prefixed UTF-8 string.
     pub fn string(&mut self) -> SlpResult<String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SlpError::BadString)
+        self.str().map(str::to_owned)
+    }
+
+    /// Fails with [`SlpError::LengthMismatch`] unless every byte was read.
+    pub(crate) fn finish(&self) -> SlpResult<()> {
+        if self.remaining() != 0 {
+            return Err(SlpError::LengthMismatch { declared: self.pos, actual: self.buf.len() });
+        }
+        Ok(())
     }
 }
 
@@ -119,10 +131,18 @@ impl ByteWriter {
     ///
     /// [`SlpError::FieldOverflow`] if the string exceeds 65535 bytes.
     pub fn string(&mut self, s: &str) -> SlpResult<&mut Self> {
-        let len =
-            u16::try_from(s.len()).map_err(|_| SlpError::FieldOverflow { context: "string" })?;
+        self.string_parts(&[s])
+    }
+
+    /// Writes `parts` as one `u16`-length-prefixed string, without
+    /// concatenating them first ([`SlpError::FieldOverflow`] past 65535).
+    pub(crate) fn string_parts(&mut self, parts: &[&str]) -> SlpResult<&mut Self> {
+        let len = u16::try_from(parts.iter().map(|p| p.len()).sum::<usize>())
+            .map_err(|_| SlpError::FieldOverflow { context: "string" })?;
         self.u16(len);
-        self.buf.extend_from_slice(s.as_bytes());
+        for part in parts {
+            self.buf.extend_from_slice(part.as_bytes());
+        }
         Ok(self)
     }
 
@@ -181,6 +201,11 @@ impl Header {
         Self::FIXED_LEN + self.lang.len()
     }
 
+    /// This header as a [`HeaderView`], the form the writer takes.
+    pub(crate) fn view(&self) -> HeaderView<'_> {
+        HeaderView { function: self.function, flags: self.flags, xid: self.xid, lang: &self.lang }
+    }
+
     /// Encodes the header followed by `body`, patching the total length.
     ///
     /// # Errors
@@ -188,30 +213,47 @@ impl Header {
     /// [`SlpError::FieldOverflow`] if the language tag exceeds a `u16` or
     /// the total message exceeds 2^24 bytes.
     pub fn encode_with_body(&self, body: &[u8]) -> SlpResult<Vec<u8>> {
-        let total = self.encoded_len() + body.len();
-        if total >= 1 << 24 {
-            return Err(SlpError::FieldOverflow { context: "message length" });
-        }
-        let mut w = ByteWriter::new();
-        w.u8(SLP_VERSION);
-        w.u8(self.function as u8);
-        w.u24(total as u32);
-        w.u16(self.flags);
-        w.u24(0); // next extension offset: unused
-        w.u16(self.xid);
-        w.string(&self.lang)?;
-        let mut buf = w.finish();
-        buf.extend_from_slice(body);
-        Ok(buf)
+        let mut out = Vec::new();
+        self.view().encode_into(&mut out, |w| {
+            w.buf.extend_from_slice(body);
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Decodes a header; returns it plus the body slice.
     ///
     /// # Errors
     ///
+    /// As [`HeaderView::decode`].
+    pub fn decode(buf: &[u8]) -> SlpResult<(Header, &[u8])> {
+        HeaderView::decode(buf).map(|(header, body)| (header.to_owned(), body))
+    }
+}
+
+/// A [`Header`] borrowed from the datagram it arrived in: the one header
+/// parser, and the one header writer. A gateway answering from cache
+/// reads the `xid` and `lang` it echoes from here without copying them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeaderView<'a> {
+    /// Message function.
+    pub function: FunctionId,
+    /// Flags word.
+    pub flags: u16,
+    /// Transaction id.
+    pub xid: u16,
+    /// RFC 1766 language tag.
+    pub lang: &'a str,
+}
+
+impl<'a> HeaderView<'a> {
+    /// Decodes a header; returns it plus the body slice.
+    ///
+    /// # Errors
+    ///
     /// [`SlpError::BadVersion`], [`SlpError::UnknownFunction`],
     /// [`SlpError::LengthMismatch`] or [`SlpError::Truncated`].
-    pub fn decode(buf: &[u8]) -> SlpResult<(Header, &[u8])> {
+    pub fn decode(buf: &'a [u8]) -> SlpResult<(HeaderView<'a>, &'a [u8])> {
         let mut r = ByteReader::new(buf, "header");
         let version = r.u8()?;
         if version != SLP_VERSION {
@@ -227,9 +269,50 @@ impl Header {
         let flags = r.u16()?;
         let _next_ext = r.u24()?;
         let xid = r.u16()?;
-        let lang = r.string()?;
-        let body_start = r.position();
-        Ok((Header { function, flags, xid, lang }, &buf[body_start..]))
+        let lang = r.str()?;
+        Ok((HeaderView { function, flags, xid, lang }, &buf[r.position()..]))
+    }
+
+    /// The owned header.
+    pub fn to_owned(self) -> Header {
+        Header { function: self.function, flags: self.flags, xid: self.xid, lang: self.lang.into() }
+    }
+
+    /// Appends one message to `out`: this header, then what `body`
+    /// writes, then the header's length field back-patched. On error
+    /// `out` is left as it was.
+    pub(crate) fn encode_into(
+        self,
+        out: &mut Vec<u8>,
+        body: impl FnOnce(&mut ByteWriter) -> SlpResult<()>,
+    ) -> SlpResult<()> {
+        let start = out.len();
+        // Write through the caller's allocation: a warm buffer is reused.
+        let mut w = ByteWriter { buf: std::mem::take(out) };
+        let result = self.write(&mut w, body);
+        *out = w.finish();
+        if result.is_err() {
+            out.truncate(start);
+        }
+        result
+    }
+
+    fn write(
+        self,
+        w: &mut ByteWriter,
+        body: impl FnOnce(&mut ByteWriter) -> SlpResult<()>,
+    ) -> SlpResult<()> {
+        let start = w.len();
+        w.u8(SLP_VERSION).u8(self.function as u8).u24(0).u16(self.flags);
+        w.u24(0).u16(self.xid); // next extension offset: unused
+        w.string(self.lang)?;
+        body(w)?;
+        let total = w.len() - start;
+        if total >= 1 << 24 {
+            return Err(SlpError::FieldOverflow { context: "message length" });
+        }
+        w.patch(start + 2, &(total as u32).to_be_bytes()[1..]);
+        Ok(())
     }
 }
 
