@@ -2,7 +2,7 @@
 //!
 //! These measure the *harness* wall-clock (how fast the deterministic
 //! simulation executes each scenario); the paper-comparable virtual-time
-//! medians come from the `fig7`/`fig8`/`fig9` binaries. Keeping both lets
+//! medians come from the `paper` binary. Keeping both lets
 //! regressions in either the simulator's performance or the scenarios'
 //! structure show up in `cargo bench`.
 

@@ -1,5 +1,5 @@
 //! A counting global allocator for the bench crate's byte-accounting
-//! scenarios (`request_storm`).
+//! test, `request_storm_hits_caches_and_pipeline_stays_lean`.
 //!
 //! Wraps the system allocator and keeps a running total of bytes
 //! *requested* (gross allocation volume, reallocations counted by their

@@ -365,9 +365,8 @@ mod tests {
         assert!(upnp_unit.ncss > slp_unit.ncss, "UPnP unit is the bigger unit");
         // The headline comparison: the whole of INDISS is smaller than
         // carrying a second native stack. (The paper's −31.5 % for the
-        // SLP host does not reproduce in sign here — see EXPERIMENTS.md:
-        // our Rust SLP stack is far heavier relative to its UPnP stack
-        // than OpenSLP-in-C was relative to Cyberlink-in-Java.)
+        // SLP host does not reproduce in sign here; the `paper` binary
+        // prints why next to that row.)
         assert!(
             get("INDISS total").ncss < get("interop without INDISS").ncss,
             "INDISS ≪ dual stack"

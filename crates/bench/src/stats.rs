@@ -26,8 +26,9 @@ impl Summary {
     }
 }
 
-/// Computes the median of a slice (interpolating even-length inputs by
-/// taking the lower middle, as a physical measurement table would).
+/// Computes the median of a slice. An even-length input yields its
+/// lower middle element, not an interpolation, so the median is always
+/// a value that was actually measured.
 ///
 /// # Panics
 ///

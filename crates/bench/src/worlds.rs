@@ -20,14 +20,16 @@
 //! - deterministic delivery probes with an exponential-backoff retry
 //!   state machine (the tracker population is itself a bounded
 //!   resource under assertion);
-//! - an optional million-record soak phase with bounded-memory
-//!   assertions settled through [`MemoryBudget`].
+//! - an optional soak phase flooding short-lived records through the
+//!   stores, with bounded-memory assertions settled through
+//!   [`MemoryBudget`].
 //!
 //! Every step draws from SplitMix64 streams derived from the world's
 //! seed and advances a virtual clock — no wall time, no global state —
 //! so a same-seed rerun reproduces the run bit for bit, which
-//! [`WorldOutcome::digest`] fingerprints and the `request_storm
-//! --worlds` gate checks by running the whole matrix twice.
+//! [`WorldOutcome::digest`] fingerprints and the
+//! `every_world_replays_its_pinned_digest` test checks by running the
+//! whole matrix twice against pinned digests.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::sync::Arc;
@@ -60,10 +62,10 @@ const SOAK_SWEEP_EVERY: u64 = 4096;
 /// declared as, and the validated spec parsed back out of it.
 #[derive(Debug, Clone)]
 pub struct NamedWorld {
-    /// Stable row name for BENCH_storm.json.
+    /// Stable row name, pinned with its digest by the tests.
     pub name: &'static str,
     /// The full `System SDP = { … World = { … } }` declaration.
-    pub text: String,
+    pub text: &'static str,
     /// The spec the text parses to.
     pub spec: WorldSpec,
 }
@@ -331,15 +333,12 @@ impl Engine<'_> {
 }
 
 /// Runs one world to completion and checks its declared assertions.
-/// `enforce_delivery` additionally gates `Assert MinDeliveryPct` —
-/// the full-mode bar; smoke runs report the rate without gating it.
 ///
 /// # Panics
 ///
 /// When a declared assertion fails — bounded memory, registry,
-/// custody, or tracker population, or (when enforced) the delivery
-/// floor.
-pub fn run_world(name: &str, spec: &WorldSpec, enforce_delivery: bool) -> WorldOutcome {
+/// custody, or tracker population, or the delivery floor.
+pub fn run_world(name: &str, spec: &WorldSpec) -> WorldOutcome {
     spec.validate().expect("matrix worlds are pre-validated");
     let budget =
         MemoryBudget::capture(spec.asserts.max_interned_bytes.map_or(usize::MAX, |b| b as usize));
@@ -377,14 +376,12 @@ pub fn run_world(name: &str, spec: &WorldSpec, enforce_delivery: bool) -> WorldO
             outcome.peak_tracker
         );
     }
-    if enforce_delivery {
-        if let Some(min) = spec.asserts.min_delivery_pct {
-            assert!(
-                outcome.delivery_pct >= f64::from(min),
-                "{name}: delivery {:.1}% below the declared {min}% floor",
-                outcome.delivery_pct
-            );
-        }
+    if let Some(min) = spec.asserts.min_delivery_pct {
+        assert!(
+            outcome.delivery_pct >= f64::from(min),
+            "{name}: delivery {:.1}% below the declared {min}% floor",
+            outcome.delivery_pct
+        );
     }
     outcome
 }
@@ -639,113 +636,100 @@ fn run_world_sim(name: &str, spec: &WorldSpec) -> WorldOutcome {
 }
 
 /// Declares the scenario matrix as §3 config text and parses each
-/// world back out. `smoke` scales soak size, durations and injection
-/// down for CI while keeping every world's *shape* — including the
-/// ≥ 1000-node churn world and the mobility world — identical to the
-/// full matrix.
+/// world back out. Durations, injection rates and the soak are sized
+/// so the whole matrix runs twice inside `cargo test`, while every
+/// world keeps its *shape*: the ≥ 1000-node churn world, the mobility
+/// world under a link cut, adversarial injection, and a soak that
+/// churns far more records through the stores than they ever hold.
 ///
 /// # Panics
 ///
 /// When a matrix text fails to parse — the texts are part of the
 /// build, so that is a bug, not an input error.
-pub fn matrix(smoke: bool) -> Vec<NamedWorld> {
-    let churn_duration = if smoke { 8 } else { 30 };
-    let mobility_duration = if smoke { 12 } else { 20 };
-    let inject_per_tick = if smoke { 20 } else { 100 };
-    let soak_records = if smoke { 20_000 } else { 1_000_000 };
-
-    let declarations: Vec<(&'static str, String)> = vec![
+pub fn matrix() -> Vec<NamedWorld> {
+    const DECLARATIONS: [(&str, &str); 5] = [
         (
             "baseline_quiet",
-            "System SDP = {\n\
-               Component Unit SLP(port=427);\n\
-               World = {\n\
-                 Seed = 11; Gateways = 3; Services = 24;\n\
-                 DurationSecs = 6; TickMillis = 500;\n\
-                 ChurnArrivalsPerTick = 4; ChurnDeparturesPerTick = 2;\n\
-                 AdvertTtlSecs = 8;\n\
-                 Assert = { MinDeliveryPct = 90; MaxRegistryRecords = 4096;\n\
-                            MaxTrackerEntries = 64 };\n\
-               };\n\
-             }"
-            .to_owned(),
+            "System SDP = {
+               Component Unit SLP(port=427);
+               World = {
+                 Seed = 11; Gateways = 3; Services = 24;
+                 DurationSecs = 6; TickMillis = 500;
+                 ChurnArrivalsPerTick = 4; ChurnDeparturesPerTick = 2;
+                 AdvertTtlSecs = 8;
+                 Assert = { MinDeliveryPct = 90; MaxRegistryRecords = 4096;
+                            MaxTrackerEntries = 64 };
+               };
+             }",
         ),
         (
             "churn_1204_nodes",
-            format!(
-                "System SDP = {{\n\
-                   Component Unit SLP(port=427);\n\
-                   World = {{\n\
-                     Seed = 22; Gateways = 4; Services = 1200;\n\
-                     DurationSecs = {churn_duration}; TickMillis = 500;\n\
-                     ChurnArrivalsPerTick = 40; ChurnDeparturesPerTick = 30;\n\
-                     AdvertTtlSecs = 8;\n\
-                     Fault = {{ DropPct = 5; ReorderPct = 5 }};\n\
-                     Assert = {{ MinDeliveryPct = 80; MaxRegistryRecords = 4096;\n\
-                                MaxTrackerEntries = 128 }};\n\
-                   }};\n\
-                 }}"
-            ),
+            "System SDP = {
+               Component Unit SLP(port=427);
+               World = {
+                 Seed = 22; Gateways = 4; Services = 1200;
+                 DurationSecs = 8; TickMillis = 500;
+                 ChurnArrivalsPerTick = 40; ChurnDeparturesPerTick = 30;
+                 AdvertTtlSecs = 8;
+                 Fault = { DropPct = 5; ReorderPct = 5 };
+                 Assert = { MinDeliveryPct = 80; MaxRegistryRecords = 4096;
+                            MaxTrackerEntries = 128 };
+               };
+             }",
         ),
         (
             "mobility_cut",
-            format!(
-                "System SDP = {{\n\
-                   Component Unit SLP(port=427);\n\
-                   World = {{\n\
-                     Seed = 33; Gateways = 3; Services = 30;\n\
-                     DurationSecs = {mobility_duration}; TickMillis = 500;\n\
-                     ChurnArrivalsPerTick = 6; ChurnDeparturesPerTick = 1;\n\
-                     AdvertTtlSecs = 8;\n\
-                     Cut = {{ Gateway = 1; FromSecs = 2; ToSecs = 5 }};\n\
-                     Move = {{ Service = 3; From = 0; To = 2; AtSecs = 3 }};\n\
-                     Move = {{ Service = 7; From = 1; To = 0; AtSecs = 6 }};\n\
-                     Assert = {{ MinDeliveryPct = 80; MaxCustody = 64;\n\
-                                MaxTrackerEntries = 64 }};\n\
-                   }};\n\
-                 }}"
-            ),
+            "System SDP = {
+               Component Unit SLP(port=427);
+               World = {
+                 Seed = 33; Gateways = 3; Services = 30;
+                 DurationSecs = 12; TickMillis = 500;
+                 ChurnArrivalsPerTick = 6; ChurnDeparturesPerTick = 1;
+                 AdvertTtlSecs = 8;
+                 Cut = { Gateway = 1; FromSecs = 2; ToSecs = 5 };
+                 Move = { Service = 3; From = 0; To = 2; AtSecs = 3 };
+                 Move = { Service = 7; From = 1; To = 0; AtSecs = 6 };
+                 Assert = { MinDeliveryPct = 80; MaxCustody = 64;
+                            MaxTrackerEntries = 64 };
+               };
+             }",
         ),
         (
             "adversarial_inject",
-            format!(
-                "System SDP = {{\n\
-                   Component Unit SLP(port=427);\n\
-                   World = {{\n\
-                     Seed = 44; Gateways = 4; Services = 40;\n\
-                     DurationSecs = 8; TickMillis = 500;\n\
-                     ChurnArrivalsPerTick = 8; ChurnDeparturesPerTick = 4;\n\
-                     AdvertTtlSecs = 8; InjectPerTick = {inject_per_tick};\n\
-                     Fault = {{ DropPct = 10; CorruptPct = 5; DelayPct = 5;\n\
-                               ReorderPct = 5; DuplicatePct = 3 }};\n\
-                     Assert = {{ MaxInternedBytes = 262144; MaxRegistryRecords = 4096;\n\
-                                MaxTrackerEntries = 128 }};\n\
-                   }};\n\
-                 }}"
-            ),
+            "System SDP = {
+               Component Unit SLP(port=427);
+               World = {
+                 Seed = 44; Gateways = 4; Services = 40;
+                 DurationSecs = 8; TickMillis = 500;
+                 ChurnArrivalsPerTick = 8; ChurnDeparturesPerTick = 4;
+                 AdvertTtlSecs = 8; InjectPerTick = 20;
+                 Fault = { DropPct = 10; CorruptPct = 5; DelayPct = 5;
+                           ReorderPct = 5; DuplicatePct = 3 };
+                 Assert = { MaxInternedBytes = 262144; MaxRegistryRecords = 4096;
+                            MaxTrackerEntries = 128 };
+               };
+             }",
         ),
         (
             "soak_million",
-            format!(
-                "System SDP = {{\n\
-                   Component Unit SLP(port=427);\n\
-                   World = {{\n\
-                     Seed = 55; Gateways = 2; Services = 8;\n\
-                     DurationSecs = 4; TickMillis = 500;\n\
-                     SoakRecords = {soak_records};\n\
-                     AdvertTtlSecs = 8;\n\
-                     Assert = {{ MaxInternedBytes = 262144; MaxRegistryRecords = 4096;\n\
-                                MaxCustody = 64; MaxTrackerEntries = 64 }};\n\
-                   }};\n\
-                 }}"
-            ),
+            "System SDP = {
+               Component Unit SLP(port=427);
+               World = {
+                 Seed = 55; Gateways = 2; Services = 8;
+                 DurationSecs = 4; TickMillis = 500;
+                 SoakRecords = 20000;
+                 AdvertTtlSecs = 8;
+                 Assert = { MaxInternedBytes = 262144; MaxRegistryRecords = 4096;
+                            MaxCustody = 64; MaxTrackerEntries = 64 };
+               };
+             }",
         ),
     ];
 
-    declarations
+    DECLARATIONS
         .into_iter()
         .map(|(name, text)| {
-            let config = IndissConfig::from_system_sdp(&text)
+            let config = IndissConfig::from_system_sdp(text)
                 .unwrap_or_else(|e| panic!("matrix world '{name}' must parse: {e}"));
             let spec = config.world.unwrap_or_else(|| panic!("matrix world '{name}' has no World"));
             NamedWorld { name, text, spec }
@@ -759,7 +743,7 @@ mod tests {
 
     #[test]
     fn matrix_declares_the_required_worlds() {
-        let worlds = matrix(true);
+        let worlds = matrix();
         assert!(worlds.len() >= 4, "the matrix carries at least four worlds");
         assert!(
             worlds.iter().any(|w| w.spec.nodes() >= 1000 && w.spec.churn_arrivals_per_tick > 0),
@@ -774,18 +758,44 @@ mod tests {
         for w in &worlds {
             w.spec.validate().expect("every matrix world validates");
         }
-        // Full mode scales up, never down.
-        let full = matrix(false);
-        let full_soak = full.iter().find(|w| w.name == "soak_million").expect("soak world");
-        assert_eq!(full_soak.spec.soak_records, 1_000_000);
+    }
+
+    /// The replay gate over the whole matrix: every world runs twice
+    /// with its declared assertions (delivery floors included) enforced
+    /// and must reproduce its pinned digest both times. A deliberate
+    /// change to the engine, the mesh or the fault layer re-pins here.
+    #[test]
+    fn every_world_replays_its_pinned_digest() {
+        const PINNED: [(&str, u64); 5] = [
+            ("baseline_quiet", 0xA403_3E1A_E84A_735D),
+            ("churn_1204_nodes", 0xCF1E_2F58_DBF5_5ED5),
+            ("mobility_cut", 0xFB69_C31D_1995_2287),
+            ("adversarial_inject", 0xAED4_F424_0C00_06A8),
+            ("soak_million", 0x411F_870C_0B22_68FF),
+        ];
+        let worlds = matrix();
+        assert_eq!(worlds.iter().map(|w| w.name).collect::<Vec<_>>(), PINNED.map(|(n, _)| n));
+        for (w, (_, digest)) in worlds.iter().zip(PINNED) {
+            let first = run_world(w.name, &w.spec);
+            let replay = run_world(w.name, &w.spec);
+            assert!(first.converged, "world '{}' failed to converge: {first:?}", w.name);
+            assert_eq!(
+                (first.digest, replay.digest),
+                (digest, digest),
+                "world '{}' digest moved or diverged on replay",
+                w.name
+            );
+            assert_eq!(first.probes_delivered, replay.probes_delivered);
+            assert_eq!(first.faults, replay.faults);
+        }
     }
 
     #[test]
     fn baseline_world_replays_digest_identically() {
-        let worlds = matrix(true);
+        let worlds = matrix();
         let baseline = worlds.iter().find(|w| w.name == "baseline_quiet").expect("baseline");
-        let a = run_world(baseline.name, &baseline.spec, false);
-        let b = run_world(baseline.name, &baseline.spec, false);
+        let a = run_world(baseline.name, &baseline.spec);
+        let b = run_world(baseline.name, &baseline.spec);
         assert_eq!(a.digest, b.digest, "same seed, same world, same digest");
         assert_eq!(a.probes_delivered, b.probes_delivered);
         assert_eq!(a.faults, b.faults);
@@ -796,10 +806,10 @@ mod tests {
 
     #[test]
     fn baseline_world_trace_export_is_replay_identical() {
-        let worlds = matrix(true);
+        let worlds = matrix();
         let baseline = worlds.iter().find(|w| w.name == "baseline_quiet").expect("baseline");
-        let a = run_world(baseline.name, &baseline.spec, false);
-        let b = run_world(baseline.name, &baseline.spec, false);
+        let a = run_world(baseline.name, &baseline.spec);
+        let b = run_world(baseline.name, &baseline.spec);
         assert!(!a.trace_json.is_empty());
         assert_eq!(a.trace_json, b.trace_json, "same seed, byte-identical trace export");
         let events = indiss_core::validate_chrome_trace(&a.trace_json)
@@ -809,9 +819,9 @@ mod tests {
 
     #[test]
     fn mobility_world_applies_its_moves() {
-        let worlds = matrix(true);
+        let worlds = matrix();
         let mobility = worlds.iter().find(|w| w.name == "mobility_cut").expect("mobility");
-        let outcome = run_world(mobility.name, &mobility.spec, false);
+        let outcome = run_world(mobility.name, &mobility.spec);
         assert_eq!(outcome.moves_applied, 2, "both Move scripts fired: {outcome:?}");
         assert!(outcome.converged, "handover converges after the cut: {outcome:?}");
         assert!(

@@ -284,15 +284,9 @@ impl ThreadedGateway {
     /// `config.shards` should be at least `workers` (ideally a small
     /// multiple) so every worker owns at least one lane; this is not
     /// enforced — fewer shards than workers merely idles the excess
-    /// workers.
+    /// workers. Tracing is off; a `trace = true` config through
+    /// [`ThreadedGateway::from_config`] builds a span-recording gateway.
     pub fn new(config: RegistryConfig, workers: usize) -> ThreadedGateway {
-        ThreadedGateway::with_tracer(config, workers, Tracer::disabled())
-    }
-
-    /// Creates a gateway whose pipeline records spans into `tracer`:
-    /// worker jobs, classifications and whatever the request source
-    /// stamps through [`GatewayCore::tracer`].
-    pub fn with_tracer(config: RegistryConfig, workers: usize, tracer: Tracer) -> ThreadedGateway {
         // The inverse of `IndissConfig::registry_config`.
         let config = IndissConfig {
             registry_capacity: config.advert_capacity,
@@ -304,7 +298,7 @@ impl ThreadedGateway {
             workers,
             ..IndissConfig::new()
         };
-        ThreadedGateway::build(&config, tracer)
+        ThreadedGateway::build(&config, Tracer::disabled())
     }
 
     /// Creates a gateway from an [`IndissConfig`], honoring its
@@ -355,11 +349,6 @@ impl ThreadedGateway {
         self.core.stats()
     }
 
-    /// The worker lane serving `canonical_type` — its registry shard.
-    pub fn lane_of(&self, canonical_type: impl Into<crate::Symbol>) -> usize {
-        self.core.registry.shard_of(canonical_type)
-    }
-
     /// Enqueues `request` for classification on the worker owning its
     /// type's shard; `done` runs on that worker with the decision.
     /// Requests for one canonical type are classified in submission
@@ -386,9 +375,9 @@ impl ThreadedGateway {
     /// thread). This is the hook request *sources* use to move a
     /// per-request pipeline that may block — wire decode, parse,
     /// description fetch, deliver — onto the owning worker: the
-    /// submitting thread pays only for the enqueue. Pair with
-    /// [`ThreadedGateway::lane_of`] and a
-    /// [`GatewayCore`] captured by the job.
+    /// submitting thread pays only for the enqueue. Pass the request
+    /// type's registry shard ([`ServiceRegistry::shard_of`]) as `lane`
+    /// and capture a [`GatewayCore`] in the job.
     pub fn submit_on_lane(&self, lane: usize, job: impl FnOnce() + Send + 'static) {
         self.pool.submit(lane, job);
     }

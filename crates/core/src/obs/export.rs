@@ -7,7 +7,8 @@
 //! Everything renders deterministically: fixed field order, integer
 //! microsecond arithmetic for timestamps (no float formatting), so two
 //! same-seed simulation runs export byte-identical documents — the
-//! replay contract `request_storm --trace` and the worlds suite gate.
+//! replay contract the bench crate's
+//! `baseline_world_trace_export_is_replay_identical` test gates.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

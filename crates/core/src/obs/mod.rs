@@ -24,7 +24,8 @@
 //!
 //! Everything is deterministic under [`SimClock`]: two same-seed
 //! simulation runs export byte-identical `trace.json` documents, which
-//! `request_storm --trace` and the worlds suite gate.
+//! the bench crate's `baseline_world_trace_export_is_replay_identical`
+//! test gates.
 
 mod export;
 mod hist;

@@ -22,11 +22,12 @@
 //! — independent of wall-clock timing, thread interleaving and the
 //! transport underneath. The same scripted traffic through a faulted
 //! [`crate::SimTransport`] and a faulted [`crate::BatchedTransport`]
-//! meets the identical hostile world, which is what lets the
-//! `request_storm --hostile` gate replay a run bit-for-bit from its
-//! seed. Delay and reorder are expressed in *arrivals*, not time, for
-//! the same reason: a held-back datagram is released when enough later
-//! datagrams have arrived on its lane, never by a timer.
+//! meets the identical hostile world, which is what lets the bench
+//! crate's `hostile_world_delivers_and_replays_its_pinned_digest` test
+//! replay a run bit-for-bit from its seed. Delay and reorder are
+//! expressed in *arrivals*, not time, for the same reason: a held-back
+//! datagram is released when enough later datagrams have arrived on
+//! its lane, never by a timer.
 //!
 //! Injected-fault counts surface through [`Transport::io_stats`]
 //! (the [`FaultStats`] block), merged over whatever the wrapped
@@ -87,9 +88,10 @@ impl FaultPlan {
         FaultPlan { seed, ..FaultPlan::default() }
     }
 
-    /// The canonical hostile world of the `request_storm --hostile`
-    /// gate: 10 % drop and 10 % swap-with-next reordering on every
-    /// lane, both directions.
+    /// The canonical hostile world of the bench crate's
+    /// `hostile_world_delivers_and_replays_its_pinned_digest` test:
+    /// 10 % drop and 10 % swap-with-next reordering on every lane, both
+    /// directions.
     pub fn hostile(seed: u64) -> FaultPlan {
         FaultPlan { seed, drop: 0.10, reorder: 0.10, ..FaultPlan::default() }
     }
