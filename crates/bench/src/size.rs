@@ -165,7 +165,6 @@ const SUPERSET_ROWS: &[(&str, &[&str])] = &[
             "registry/index.rs",
             "registry/expiry.rs",
             "registry/shard.rs",
-            "registry/epoch.rs",
         ],
     ),
     ("Symbol interner (production)", &["symbol.rs"]),

@@ -28,10 +28,11 @@
 //!   batching and its own wire counters; a cold request is counted, not
 //!   fanned out.
 //!
-//! [`ThreadedGateway`] is the core plus a [`WorkerPool`] whose lanes are
-//! the registry's canonical-type shards, so requests for disjoint types
-//! are classified in parallel with no coordination beyond the one shard
-//! lock each touches.
+//! [`ThreadedGateway`] is the core plus a [`WorkerPool`] for the work
+//! that may block: [`crate::NetDriver`] hands a channel that can block
+//! to the pool lane of that channel. Classifying needs no worker: any
+//! thread may call [`GatewayCore::classify`], which takes only the one
+//! shard lock the request's type routes to.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -257,21 +258,22 @@ impl GatewayCore {
     }
 }
 
-/// The multi-threaded warm-path runtime: a sharded [`ServiceRegistry`]
-/// served by a [`WorkerPool`] whose lanes are the registry's shards.
+/// The multi-threaded runtime: a [`GatewayCore`] over a sharded
+/// [`ServiceRegistry`], plus a [`WorkerPool`] for per-request work that
+/// may block.
 ///
-/// This is the handle a production (non-simulated) deployment scales
-/// across cores with: adverts and responses warm the shared registry
-/// from any thread, and [`ThreadedGateway::submit`] classifies requests
-/// on the worker owning the request type's shard, preserving per-type
-/// ordering while disjoint types proceed in parallel. The deterministic
-/// simulation keeps using [`crate::Indiss`] (the virtual-time event loop
-/// is single-threaded by design); both hold a [`GatewayCore`], so their
+/// This is the handle a production (non-simulated) deployment runs
+/// with: adverts and responses warm the shared registry from any thread,
+/// any thread classifies through [`ThreadedGateway::core`], and a
+/// request source moves work that may block onto a worker with
+/// [`submit_on_lane`](Self::submit_on_lane). The deterministic simulation
+/// keeps using [`crate::Indiss`] (the virtual-time event loop is
+/// single-threaded by design); both hold a [`GatewayCore`], so their
 /// warm-path semantics are identical by construction.
 ///
 /// `ThreadedGateway` is `Send + Sync`; clones of
 /// [`ThreadedGateway::registry`] and [`ThreadedGateway::core`] may be
-/// used concurrently with submissions.
+/// used concurrently with submitted jobs.
 #[derive(Debug)]
 pub struct ThreadedGateway {
     core: GatewayCore,
@@ -280,11 +282,7 @@ pub struct ThreadedGateway {
 
 impl ThreadedGateway {
     /// Creates a gateway over a fresh registry with `workers` threads.
-    ///
-    /// `config.shards` should be at least `workers` (ideally a small
-    /// multiple) so every worker owns at least one lane; this is not
-    /// enforced — fewer shards than workers merely idles the excess
-    /// workers. Tracing is off; a `trace = true` config through
+    /// Tracing is off; a `trace = true` config through
     /// [`ThreadedGateway::from_config`] builds a span-recording gateway.
     pub fn new(config: RegistryConfig, workers: usize) -> ThreadedGateway {
         // The inverse of `IndissConfig::registry_config`.
@@ -349,40 +347,18 @@ impl ThreadedGateway {
         self.core.stats()
     }
 
-    /// Enqueues `request` for classification on the worker owning its
-    /// type's shard; `done` runs on that worker with the decision.
-    /// Requests for one canonical type are classified in submission
-    /// order; requests for types on different lanes run concurrently.
-    pub fn submit(
-        &self,
-        origin: SdpProtocol,
-        request: EventStream,
-        now: SimTime,
-        done: impl FnOnce(WarmDecision) + Send + 'static,
-    ) {
-        let lane = match request.service_type_symbol() {
-            Some(t) => self.core.registry.shard_of(t),
-            None => 0,
-        };
-        let core = self.core.clone();
-        self.pool.submit(lane, move || {
-            let decision = core.classify(origin, &request, now);
-            done(decision);
-        });
-    }
-
-    /// Enqueues an arbitrary job on `lane` (`lane % workers` picks the
-    /// thread). This is the hook request *sources* use to move a
-    /// per-request pipeline that may block — wire decode, parse,
-    /// description fetch, deliver — onto the owning worker: the
-    /// submitting thread pays only for the enqueue. Pass the request
-    /// type's registry shard ([`ServiceRegistry::shard_of`]) as `lane`
-    /// and capture a [`GatewayCore`] in the job.
+    /// Enqueues a job on `lane` (`lane % workers` picks the thread; jobs
+    /// on one lane run in submission order). This is the hook a request
+    /// *source* uses to move a per-request pipeline that may block —
+    /// wire decode, parse, description fetch, deliver — off the thread
+    /// that delivers datagrams: the submitting thread pays only for the
+    /// enqueue. [`crate::NetDriver`] passes its channel index as `lane`,
+    /// so each channel stays FIFO; capture a [`GatewayCore`] in the job.
     pub fn submit_on_lane(&self, lane: usize, job: impl FnOnce() + Send + 'static) {
         self.pool.submit(lane, job);
     }
 
-    /// Blocks until every submitted request has been classified.
+    /// Blocks until every submitted job has run.
     pub fn join(&self) {
         self.pool.join();
     }
@@ -452,18 +428,23 @@ mod tests {
         for ty in &types {
             gw.registry().warm(ty.as_str(), response(ty), t);
         }
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..10 {
-            for ty in &types {
-                let hits = Arc::clone(&hits);
-                gw.submit(SdpProtocol::Slp, request(ty), t, move |decision| {
-                    if matches!(decision, WarmDecision::CacheHit(_)) {
-                        hits.fetch_add(1, Ordering::Relaxed);
+        let core = gw.core();
+        let hits = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for thread in 0..4 {
+                let (core, hits, types) = (&core, &hits, &types);
+                s.spawn(move || {
+                    for _ in 0..10 {
+                        for ty in types.iter().skip(thread).step_by(4) {
+                            let decision = core.classify(SdpProtocol::Slp, &request(ty), t);
+                            if matches!(decision, WarmDecision::CacheHit(_)) {
+                                hits.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
                     }
                 });
             }
-        }
-        gw.join();
+        });
         assert_eq!(hits.load(Ordering::Relaxed), 160, "every warm request answered from cache");
         assert_eq!(gw.stats().cache_hits, 160);
     }

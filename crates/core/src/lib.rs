@@ -50,10 +50,10 @@
 //!   wheel and counters — into [`RegistryConfig::shards`] independently
 //!   locked shards, routed by canonical-type hash. Everything keyed by
 //!   one canonical type lives behind exactly one shard `Mutex`, so the
-//!   warm path (cache hit → deliver) for disjoint types never contends.
-//!   [`ThreadedGateway`] maps shards onto [`WorkerPool`] lanes
-//!   (`shard % workers`), preserving per-type FIFO order while disjoint
-//!   types proceed in parallel.
+//!   warm path (cache hit → deliver) takes one lock and, for disjoint
+//!   types, never contends. [`ThreadedGateway`]'s [`WorkerPool`] lanes
+//!   serve channels that may block (`channel % workers`), keeping
+//!   per-channel FIFO order.
 //! * **Lock order.** At most one shard lock is ever held at a time.
 //!   Cross-shard views (aggregate counts, full snapshots,
 //!   [`ServiceRegistry::stats`]) lock shards one at a time in ascending

@@ -1,22 +1,20 @@
 //! A lane-routed worker pool for the multi-threaded runtime.
 //!
 //! The pool owns N OS threads, each draining its own queue. Work is
-//! submitted with a *lane* — in the gateway, the registry shard a
-//! request's canonical type routes to — and `lane % workers` picks the
-//! thread, so all work for one shard runs on one worker in submission
-//! order (per-shard FIFO), while disjoint shards proceed in parallel
-//! with no shared queue to contend on. This is the "parallel
-//! per-interface workers over a shared registry" shape the multi-interface
-//! discovery literature scales by, mapped onto canonical-type shards.
+//! submitted with a *lane* — in the gateway, the index of a wire channel
+//! whose pipeline may block — and `lane % workers` picks the thread, so
+//! all work for one channel runs on one worker in submission order
+//! (per-channel FIFO), while channels on different workers proceed in
+//! parallel with no shared queue to contend on. This is the "parallel
+//! per-interface workers over a shared registry" shape the
+//! multi-interface discovery literature scales by.
 //!
 //! The pool is deliberately small and dependency-free: `std::thread` +
 //! `std::sync::mpsc` channels, an *atomic* pending-job counter (the
 //! per-job hot path is two uncontended atomic ops; the condvar and its
 //! mutex are touched only when a [`WorkerPool::join`] is actually
 //! parked), and channel closure on drop to stop the workers. No work
-//! stealing — stealing would break the per-shard ordering guarantee the
-//! registry's lock routing relies on for fairness, and shard hashing
-//! already balances lanes.
+//! stealing — stealing would break the per-lane ordering guarantee.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};

@@ -30,8 +30,8 @@
 //! record store, response cache, negative cache, projections,
 //! suppression map, expiry wheel and [`RegistryStats`]. Requests for
 //! disjoint canonical types therefore proceed in parallel with no
-//! cross-shard coordination on the warm path — the property the
-//! multi-threaded runtime's worker pool exploits. `ServiceRegistry` is a
+//! cross-shard coordination on the warm path, which takes exactly one
+//! shard lock per request. `ServiceRegistry` is a
 //! cheap `Arc` handle and is `Send + Sync`; cross-shard views (full
 //! snapshots, aggregate counts, [`ServiceRegistry::stats`]) lock shards
 //! one at a time in ascending index order and merge on read, so there is
@@ -51,7 +51,6 @@
 //! the earliest deadline across shards, so a seeded simulation replays
 //! identically and memory stays bounded under churn.
 
-pub(crate) mod epoch;
 mod expiry;
 mod index;
 mod record;
@@ -59,14 +58,12 @@ mod shard;
 
 pub use record::{PeerId, RecordOrigin, ServiceRecord};
 
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use indiss_net::SimTime;
 
 use crate::event::{Event, EventStream, SdpProtocol, Symbol};
-use epoch::EpochPtr;
 use expiry::Target;
 use index::InsertOutcome;
 use shard::{CachedResponse, Shard};
@@ -92,8 +89,8 @@ pub struct RegistryConfig {
     pub negative_ttl: Duration,
     /// Number of independently locked shards the stores are split into,
     /// routed by canonical-type hash. One shard (the default) preserves
-    /// global LRU semantics exactly; more shards let a worker pool serve
-    /// disjoint types in parallel.
+    /// global LRU semantics exactly; more shards let concurrent threads
+    /// serve disjoint types in parallel.
     pub shards: usize,
 }
 
@@ -220,14 +217,7 @@ pub struct SweepReport {
 
 pub(super) struct RegistryShared {
     pub(super) config: RegistryConfig,
-    /// Process-unique identity (see [`epoch::next_registry_id`]) keying
-    /// the per-thread snapshot caches of the lock-free read path.
-    pub(super) id: u64,
     pub(super) shards: Box<[Mutex<Shard>]>,
-    /// One epoch-published snapshot per shard (same indexing as
-    /// `shards`): the lock-free warm-hit read path. Writers republish
-    /// under the matching shard lock; see [`epoch`].
-    pub(super) epochs: Box<[EpochPtr]>,
 }
 
 /// Handle to the shared registry. Cloning is cheap and refers to the
@@ -245,15 +235,7 @@ impl ServiceRegistry {
         let shard_count = config.shards.max(1);
         let shards: Box<[Mutex<Shard>]> =
             (0..shard_count).map(|_| Mutex::new(Shard::new(&config, shard_count))).collect();
-        let epochs: Box<[EpochPtr]> = (0..shard_count).map(|_| EpochPtr::new()).collect();
-        ServiceRegistry {
-            shared: Arc::new(RegistryShared {
-                config,
-                id: epoch::next_registry_id(),
-                shards,
-                epochs,
-            }),
-        }
+        ServiceRegistry { shared: Arc::new(RegistryShared { config, shards }) }
     }
 
     /// The configured bounds.
@@ -508,8 +490,7 @@ impl ServiceRegistry {
     }
 
     fn warm_entry(&self, key: Symbol, response: EventStream, now: SimTime, remote: bool) {
-        let idx = self.shard_index(&key);
-        let mut shard = self.lock_shard(idx);
+        let mut shard = self.shard_for(&key);
         shard.clear_negative(&key);
         let expires = now + self.shared.config.cache_ttl;
         let (slot, evicted) = shard.cache.insert(key, CachedResponse { response, expires, remote });
@@ -518,10 +499,6 @@ impl ServiceRegistry {
         }
         let generation = shard.cache.generation(slot);
         shard.wheel.arm(expires, Target::Cache { slot, generation });
-        // Publish while still holding the shard lock, so snapshots go
-        // out in mutation order and lock-free readers see this entry
-        // (and the LRU victim's absence) from here on.
-        self.shared.epochs[idx].publish(shard.build_snapshot());
     }
 
     /// Answers a lookup from the cache, counting a hit or a miss. Expired
@@ -679,7 +656,7 @@ impl ServiceRegistry {
     /// Arms the suppression window for this type until `until`.
     pub fn mark_bridged(&self, canonical_type: impl Into<Symbol>, until: SimTime) {
         let key = canonical_type.into();
-        self.shard_for(&key).arm_suppression(key, until);
+        self.shard_for(&key).suppress.insert(key, until);
     }
 
     // ------------------------------------------------------------------
@@ -741,20 +718,12 @@ impl ServiceRegistry {
     /// virtual-time sweep timer; reads also expire lazily, so calling
     /// this is a memory bound, not a correctness requirement.
     pub fn sweep(&self, now: SimTime) -> SweepReport {
-        let mut acc = SweepReport::default();
-        for idx in 0..self.shared.shards.len() {
-            let mut shard = self.lock_shard(idx);
+        self.fold_shards(SweepReport::default(), |acc, shard| {
             let report = shard.sweep(now);
             acc.records_expired += report.records_expired;
             acc.cache_expired += report.cache_expired;
             acc.negative_expired += report.negative_expired;
-            // Republish under the lock: the sweep may have reaped cache
-            // entries and pruned suppression cells, and the rebuild
-            // re-creates cells for every still-cached type, so stale
-            // snapshots stop being served and memory is released.
-            self.shared.epochs[idx].publish(shard.build_snapshot());
-        }
-        acc
+        })
     }
 
     /// The earliest pending expiry deadline across all shards, if any
@@ -844,17 +813,10 @@ impl ServiceRegistry {
             .collect()
     }
 
-    /// Snapshot of the registry's counters, merged across shards.
-    /// Cache hits served lock-free (the epoch-snapshot fast path) are
-    /// folded into `cache_hits` here, so totals are exact regardless of
-    /// which path answered.
+    /// Snapshot of the registry's counters, merged across shards (one
+    /// shard lock at a time, so no update is lost).
     pub fn stats(&self) -> RegistryStats {
-        let mut merged = RegistryStats::default();
-        for idx in 0..self.shared.shards.len() {
-            merged.merge(&self.lock_shard(idx).stats);
-            merged.cache_hits += self.shared.epochs[idx].fast_hits.load(Ordering::Relaxed);
-        }
-        merged
+        self.fold_shards(RegistryStats::default(), |merged, shard| merged.merge(&shard.stats))
     }
 }
 
@@ -1332,7 +1294,7 @@ mod tests {
     }
 
     #[test]
-    fn remote_warm_hits_are_counted_and_stay_off_the_snapshot() {
+    fn remote_warm_hits_are_counted_apart_from_local_ones() {
         let reg = ServiceRegistry::new(RegistryConfig::default());
         let t = SimTime::ZERO;
         reg.warm_remote("clock", response("clock"), t);

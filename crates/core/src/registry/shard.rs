@@ -14,21 +14,18 @@ use indiss_net::SimTime;
 
 use crate::event::{EventStream, SdpProtocol, Symbol};
 use crate::gateway::WarmDecision;
-use crate::registry::epoch::{ShardSnapshot, SnapEntry, SuppressCell};
 use crate::registry::expiry::{ExpiryWheel, Target};
 use crate::registry::index::{LruCache, RecordStore};
 use crate::registry::{Projection, RegistryConfig, RegistryStats, ServiceRegistry, SweepReport};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, MutexGuard};
+use std::sync::MutexGuard;
 
 #[derive(Debug, Clone)]
 pub(crate) struct CachedResponse {
     pub(crate) response: EventStream,
     pub(crate) expires: SimTime,
     /// True when the response was synthesized from knowledge pulled
-    /// from a mesh peer: hits on it count as remote cache hits, and the
-    /// entry is kept off the lock-free snapshot so that accounting
-    /// stays exact (see [`Shard::build_snapshot`]).
+    /// from a mesh peer: hits on it count in `remote_cache_hits` as
+    /// well as `cache_hits`.
     pub(crate) remote: bool,
 }
 
@@ -49,11 +46,8 @@ pub(crate) struct Shard {
     pub(crate) negative_by_type: HashMap<Symbol, Vec<SdpProtocol>>,
     pub(crate) projections: LruCache<(SdpProtocol, Symbol), Projection>,
     /// Per-canonical-type suppression deadline (multi-bridge loop
-    /// guard). The deadline lives in a shared atomic cell
-    /// ([`SuppressCell`], nanoseconds) because published snapshots
-    /// clone the cell: a lock-free cache hit re-arms the same window
-    /// the locked path reads.
-    pub(crate) suppress: HashMap<Symbol, SuppressCell>,
+    /// guard).
+    pub(crate) suppress: HashMap<Symbol, SimTime>,
     pub(crate) wheel: ExpiryWheel,
     pub(crate) stats: RegistryStats,
     /// Monotone content version of the shard's *record store*: bumped
@@ -136,47 +130,15 @@ impl Shard {
                 }
             }
         }
-        let now_nanos = now.as_nanos();
-        self.suppress.retain(|_, until| until.load(Ordering::Relaxed) > now_nanos);
+        self.suppress.retain(|_, until| *until > now);
         self.stats.records_expired += report.records_expired;
         self.stats.cache_expired += report.cache_expired;
         report
     }
 
-    /// Arms (or re-arms) the suppression window for `ty` until `until`,
-    /// reusing the type's shared cell so published snapshots stay wired
-    /// to it.
-    pub(crate) fn arm_suppression(&mut self, ty: Symbol, until: SimTime) {
-        self.suppress.entry(ty).or_default().store(until.as_nanos(), Ordering::Relaxed);
-    }
-
     /// True while `ty` is inside its suppression window at `now`.
     pub(crate) fn suppression_active_at(&self, ty: &Symbol, now: SimTime) -> bool {
-        self.suppress.get(ty).is_some_and(|until| until.load(Ordering::Relaxed) > now.as_nanos())
-    }
-
-    /// Builds the immutable snapshot the epoch pointer publishes: every
-    /// cached response plus its type's suppression cell (created here
-    /// if the type was never suppressed, so a lock-free hit always has
-    /// a cell to arm). Remote-attributed entries are deliberately left
-    /// out: a remote hit must take the locked path so the per-shard
-    /// `remote_cache_hits` counter stays exact (the fast path only has
-    /// one atomic, folded into plain `cache_hits`).
-    pub(crate) fn build_snapshot(&mut self) -> ShardSnapshot {
-        let Shard { cache, suppress, .. } = self;
-        let mut snapshot = HashMap::with_capacity(cache.len());
-        for (key, entry) in cache.iter().filter(|(_, entry)| !entry.remote) {
-            let cell = Arc::clone(suppress.entry(key.clone()).or_default());
-            snapshot.insert(
-                key.clone(),
-                SnapEntry {
-                    response: entry.response.clone(),
-                    expires: entry.expires,
-                    suppress: cell,
-                },
-            );
-        }
-        ShardSnapshot { cache: snapshot }
+        self.suppress.get(ty).is_some_and(|until| *until > now)
     }
 
     /// Drops any "nothing found" memory for `canonical_type` (for every
@@ -231,16 +193,13 @@ impl ServiceRegistry {
     }
 
     /// Counter snapshot of one shard (the aggregate view is
-    /// [`ServiceRegistry::stats`]). Cache hits served by the shard's
-    /// lock-free snapshot path are folded into `cache_hits`.
+    /// [`ServiceRegistry::stats`]).
     ///
     /// # Panics
     ///
     /// Panics when `shard` is out of range.
     pub fn shard_stats(&self, shard: usize) -> RegistryStats {
-        let mut stats = self.lock_shard(shard).stats;
-        stats.cache_hits += self.shared.epochs[shard].fast_hits.load(Ordering::Relaxed);
-        stats
+        self.lock_shard(shard).stats
     }
 
     pub(crate) fn shard_index(&self, sym: &Symbol) -> usize {
@@ -289,12 +248,8 @@ impl ServiceRegistry {
     /// every counter side effect, but atomically. `None` for the type
     /// always bridges (there is nothing to cache or suppress by).
     ///
-    /// A fresh cache hit is first attempted **lock-free** against the
-    /// shard's epoch-published snapshot (see [`crate::registry::epoch`]):
-    /// same decision, same counter total, same suppression re-arm, zero
-    /// lock acquisitions. Everything else — misses, expired entries,
-    /// negative hits, suppression decisions — falls through to the
-    /// locked path below, whose semantics are unchanged.
+    /// A cache hit refreshes the entry's LRU recency, exactly as
+    /// [`ServiceRegistry::cached_response`] does.
     pub(crate) fn warm_path(
         &self,
         origin: SdpProtocol,
@@ -306,15 +261,7 @@ impl ServiceRegistry {
         let Some(ty) = canonical_type else {
             return WarmDecision::Bridge;
         };
-        let idx = self.shard_index(&ty);
-        if enable_cache {
-            if let Some(hit) =
-                self.shared.epochs[idx].try_fast_hit(self.shared.id, idx, &ty, now, suppress_until)
-            {
-                return hit;
-            }
-        }
-        let mut shard = self.lock_shard(idx);
+        let mut shard = self.shard_for(&ty);
         if enable_cache {
             match shard.cache.get(&ty) {
                 Some(entry) if entry.expires > now => {
@@ -326,7 +273,7 @@ impl ServiceRegistry {
                     }
                     // A cache-answered request still (re-)arms the
                     // window: the answer we just sent is about to echo.
-                    shard.arm_suppression(ty, suppress_until);
+                    shard.suppress.insert(ty, suppress_until);
                     return WarmDecision::CacheHit(response);
                 }
                 Some(_) => {
@@ -352,7 +299,7 @@ impl ServiceRegistry {
         if shard.suppression_active_at(&ty, now) {
             return WarmDecision::Suppressed;
         }
-        shard.arm_suppression(ty, suppress_until);
+        shard.suppress.insert(ty, suppress_until);
         WarmDecision::Bridge
     }
 }

@@ -5,7 +5,10 @@
 use std::net::SocketAddrV4;
 use std::time::Duration;
 
-use indiss_core::{Indiss, IndissConfig, SdpProtocol};
+use indiss_core::{
+    Event, EventStream, Indiss, IndissConfig, RegistryConfig, SdpProtocol, ThreadedGateway,
+    WarmDecision,
+};
 use indiss_net::World;
 use indiss_slp::{SlpConfig, UserAgent, SLP_MULTICAST_GROUP, SLP_PORT};
 use indiss_ssdp::{Notify, NotifySubType, SearchTarget, SSDP_MULTICAST_GROUP, SSDP_PORT};
@@ -123,6 +126,32 @@ fn cache_capacity_bound_evicts_lru() {
     cached.sort();
     assert_eq!(cached, vec!["b", "c"], "oldest entry evicted");
     assert_eq!(indiss.stats().cache_evictions, 1);
+}
+
+/// A warm hit refreshes the entry's LRU recency: after a hit on A, the
+/// next insertion evicts B, the least recently *used* entry.
+#[test]
+fn warm_hit_refreshes_lru_recency() {
+    let config = RegistryConfig { shards: 1, cache_capacity: 2, ..RegistryConfig::default() };
+    let gw = ThreadedGateway::new(config, 1);
+    let t = indiss_net::SimTime::from_secs(1);
+    let registry = gw.registry();
+    let response = |ty: &str| {
+        EventStream::framed(vec![
+            Event::ServiceResponse,
+            Event::ResOk,
+            Event::ServiceType(ty.into()),
+            Event::ResServUrl(format!("soap://10.0.0.9/{ty}")),
+        ])
+    };
+    registry.warm("a", response("a"), t);
+    registry.warm("b", response("b"), t);
+    let request = EventStream::framed(vec![Event::ServiceRequest, Event::ServiceType("a".into())]);
+    assert!(matches!(gw.core().classify(SdpProtocol::Slp, &request, t), WarmDecision::CacheHit(_)));
+    registry.warm("c", response("c"), t);
+    assert!(registry.cache_contains("a", t), "the hit kept A recent");
+    assert!(!registry.cache_contains("b", t), "B was least recently used");
+    assert!(registry.cache_contains("c", t));
 }
 
 /// Hit/miss/expiry counters through a real bridged discovery: the first

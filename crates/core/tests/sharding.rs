@@ -259,41 +259,43 @@ fn concurrent_churn_loses_no_stat_updates() {
 }
 
 /// The same sharded registry behind a `ThreadedGateway`: concurrent
-/// classification across workers answers every warm request and counts
-/// every hit exactly once.
+/// classification from four threads answers every warm request and
+/// counts every hit exactly once.
 #[test]
 fn threaded_gateway_counts_are_exact_under_concurrency() {
     use std::sync::atomic::{AtomicU64, Ordering};
+    const THREADS: usize = 4;
     let gw = ThreadedGateway::new(
         RegistryConfig {
             shards: 8,
             cache_ttl: Duration::from_secs(3600),
             ..RegistryConfig::default()
         },
-        4,
+        1,
     );
     let now = SimTime::from_secs(1);
     let types: Vec<String> = (0..32).map(|i| format!("gwtype-{i}")).collect();
     for ty in &types {
         gw.registry().warm(ty.as_str(), response(ty), SimTime::ZERO);
     }
-    let hits = Arc::new(AtomicU64::new(0));
+    let core = gw.core();
+    let hits = AtomicU64::new(0);
     const ROUNDS: u64 = 25;
-    for _ in 0..ROUNDS {
-        for ty in &types {
-            let hits = Arc::clone(&hits);
-            let request = EventStream::framed(vec![
-                Event::ServiceRequest,
-                Event::ServiceType(ty.as_str().into()),
-            ]);
-            gw.submit(SdpProtocol::Slp, request, now, move |decision| {
-                if matches!(decision, WarmDecision::CacheHit(_)) {
-                    hits.fetch_add(1, Ordering::Relaxed);
+    std::thread::scope(|s| {
+        for thread in 0..THREADS {
+            let (core, hits, types) = (&core, &hits, &types);
+            s.spawn(move || {
+                for _ in 0..ROUNDS {
+                    for ty in types.iter().skip(thread).step_by(THREADS) {
+                        let decision = core.classify(SdpProtocol::Slp, &request(ty), now);
+                        if matches!(decision, WarmDecision::CacheHit(_)) {
+                            hits.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
                 }
             });
         }
-    }
-    gw.join();
+    });
     let expected = ROUNDS * types.len() as u64;
     assert_eq!(hits.load(Ordering::Relaxed), expected);
     let stats = gw.stats();
@@ -315,8 +317,8 @@ fn request(ty: &str) -> EventStream {
 }
 
 /// Extracts the `v{n}` version a [`versioned_response`] carried, after
-/// asserting the stream is well-formed for `ty` — a torn snapshot read
-/// would surface here as a mismatched type or a mangled URL.
+/// asserting the stream is well-formed for `ty` — a torn read would
+/// surface here as a mismatched type or a mangled URL.
 fn response_version(ty: &str, stream: &EventStream) -> u32 {
     let url = stream
         .events()
@@ -334,15 +336,13 @@ fn response_version(ty: &str, stream: &EventStream) -> u32 {
 }
 
 proptest! {
-    /// (d) The epoch-snapshot fast path is linear with the writes: after
-    /// every warm, a read through the warm path (which serves the
-    /// epoch-published snapshot when it can) observes exactly the
-    /// post-write state — the freshly written version, never a stale or
-    /// torn one — and a 4-shard registry answers byte-identically to an
-    /// unsharded one across the whole interleaving, with identical
-    /// merged stats (the fast-hit counters fold in without loss).
+    /// (d) The warm path is linear with the writes: after every warm, a
+    /// read through the warm path observes exactly the post-write state
+    /// — the freshly written version, never a stale or torn one — and a
+    /// 4-shard registry answers byte-identically to an unsharded one
+    /// across the whole interleaving, with identical merged stats.
     #[test]
-    fn epoch_snapshot_reads_observe_pre_or_post_write_state(
+    fn warm_path_reads_observe_the_latest_write(
         ops in proptest::collection::vec((0usize..6, 1u32..50), 1..60),
     ) {
         let one = ThreadedGateway::new(
@@ -356,16 +356,14 @@ proptest! {
         let t = SimTime::from_secs(1);
         let mut latest: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
         for (ty_idx, version) in ops {
-            let ty = format!("epoch-{ty_idx}");
+            let ty = format!("latest-{ty_idx}");
             one.registry().warm(ty.as_str(), versioned_response(&ty, version), t);
             four.registry().warm(ty.as_str(), versioned_response(&ty, version), t);
             latest.insert(ty_idx, version);
-            // Read back *every* warmed type, on both registries: repeat
-            // reads of unchanged types exercise the thread-local epoch
-            // cache (same epoch ⇒ zero-lock hit), the just-written type
-            // exercises the refresh path.
+            // Read back *every* warmed type, on both registries: the
+            // just-written type and every unchanged one.
             for (idx, expect) in &latest {
-                let ty = format!("epoch-{idx}");
+                let ty = format!("latest-{idx}");
                 for gw in [&one, &four] {
                     match gw.core().classify(SdpProtocol::Slp, &request(&ty), t) {
                         WarmDecision::CacheHit(stream) => {
@@ -376,8 +374,7 @@ proptest! {
                 }
             }
         }
-        // Sharding (and the fast path's per-shard hit counters) must not
-        // change the merged accounting.
+        // Sharding must not change the merged accounting.
         let s1 = one.stats();
         let s4 = four.stats();
         prop_assert_eq!(s1.cache_hits, s4.cache_hits);
@@ -386,15 +383,15 @@ proptest! {
     }
 }
 
-/// (e) Multi-thread churn over the epoch fast path: writers republish
-/// versioned responses while readers classify concurrently. Every
-/// observed hit must be a *complete* published version (never torn),
-/// versions must be monotonic per reader (snapshots only move forward),
-/// and the merged stats — locked-path counters plus the fast-hit
-/// atomics — must account for exactly the decisions the readers saw,
-/// the same bookkeeping contract `shards = 1` has always pinned.
+/// (e) Multi-thread churn over the warm path: two writers warm
+/// versioned responses while three readers classify concurrently. Every
+/// observed hit must be a *complete* written version (never torn),
+/// versions must be monotonic per reader (a read never sees an older
+/// write than the one before it), and the merged per-shard stats must
+/// account for exactly the decisions the readers saw, the same
+/// bookkeeping contract `shards = 1` has always pinned.
 #[test]
-fn concurrent_epoch_churn_is_monotonic_with_exact_merged_stats() {
+fn concurrent_warm_churn_is_monotonic_with_exact_merged_stats() {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     const TYPES: usize = 8;
@@ -418,7 +415,7 @@ fn concurrent_epoch_churn_is_monotonic_with_exact_merged_stats() {
             let reg = gw.registry();
             for version in 1..=VERSIONS {
                 for ty_idx in (w..TYPES).step_by(2) {
-                    let ty = format!("churn-epoch-{ty_idx}");
+                    let ty = format!("churn-warm-{ty_idx}");
                     reg.warm(ty.as_str(), versioned_response(&ty, version), t);
                 }
             }
@@ -444,14 +441,11 @@ fn concurrent_epoch_churn_is_monotonic_with_exact_merged_stats() {
             loop {
                 let finished = done.load(Ordering::Acquire);
                 for (ty_idx, floor) in floor.iter_mut().enumerate() {
-                    let ty = format!("churn-epoch-{ty_idx}");
+                    let ty = format!("churn-warm-{ty_idx}");
                     match core.classify(SdpProtocol::Slp, &request(&ty), t) {
                         WarmDecision::CacheHit(stream) => {
                             let v = response_version(&ty, &stream);
-                            assert!(
-                                v >= *floor,
-                                "snapshot went backwards on {ty}: {v} after {floor}"
-                            );
+                            assert!(v >= *floor, "read went backwards on {ty}: {v} after {floor}");
                             assert!(v <= VERSIONS, "unwritten version observed");
                             *floor = v;
                             seen.hits += 1;
@@ -468,7 +462,7 @@ fn concurrent_epoch_churn_is_monotonic_with_exact_merged_stats() {
                     for (ty_idx, floor) in floor.iter().enumerate() {
                         assert_eq!(
                             *floor, VERSIONS,
-                            "churn-epoch-{ty_idx} must settle at the last write"
+                            "churn-warm-{ty_idx} must settle at the last write"
                         );
                     }
                     return seen;
@@ -492,7 +486,7 @@ fn concurrent_epoch_churn_is_monotonic_with_exact_merged_stats() {
     }
     assert!(hits > 0, "readers observed warm traffic");
     let stats = gw.stats();
-    assert_eq!(stats.cache_hits, hits, "every fast/locked hit counted exactly once: {stats:?}");
+    assert_eq!(stats.cache_hits, hits, "every hit counted exactly once: {stats:?}");
     assert_eq!(stats.requests_bridged, bridged, "bridged accounting exact: {stats:?}");
     assert_eq!(stats.requests_suppressed, suppressed, "suppression accounting exact: {stats:?}");
 }

@@ -105,6 +105,9 @@ struct NodeData {
     addr: Ipv4Addr,
     up: bool,
     next_ephemeral: u16,
+    /// Set once `next_ephemeral` has wrapped: only from then on can it
+    /// reach a port an earlier lap handed out and the node still holds.
+    ephemeral_wrapped: bool,
 }
 
 struct UdpData {
@@ -160,6 +163,46 @@ impl WorldInner {
             return self.loopback_link;
         }
         self.link_overrides.get(&(a, b)).copied().unwrap_or(self.default_link)
+    }
+
+    /// True when `node` holds `port` in `transport`'s port space: a
+    /// bound UDP socket, or a TCP listener or open stream.
+    fn port_held(&self, node: NodeId, port: u16, transport: MeterTransport) -> bool {
+        match transport {
+            MeterTransport::Udp => {
+                self.udp.iter().flatten().any(|s| s.node == node && s.port == port)
+            }
+            MeterTransport::Tcp => {
+                World::tcp_port_in_use(self, node, port)
+                    || self
+                        .streams
+                        .iter()
+                        .flatten()
+                        .any(|s| s.node == node && s.open && s.local.port() == port)
+            }
+        }
+    }
+
+    /// The node's next free ephemeral port for `transport`: the node's
+    /// cursor counts up, wraps 65535 → 40000, and after a wrap passes
+    /// over every port the node still holds, so it never lands on a
+    /// long-lived socket. Before the first wrap the check — a scan of
+    /// the world's sockets — is skipped: no earlier lap can hold a port
+    /// ahead of the cursor. With the whole range held it returns the
+    /// cursor's port anyway, and the bind reports [`NetError::AddrInUse`].
+    fn alloc_ephemeral(&mut self, node: NodeId, transport: MeterTransport) -> u16 {
+        let mut port = 0;
+        for _ in EPHEMERAL_BASE..=u16::MAX {
+            let nd = &mut self.nodes[node.index() as usize];
+            let lapped = nd.ephemeral_wrapped;
+            port = nd.next_ephemeral;
+            nd.next_ephemeral = port.wrapping_add(1).max(EPHEMERAL_BASE);
+            nd.ephemeral_wrapped |= port == u16::MAX;
+            if !lapped || !self.port_held(node, port, transport) {
+                break;
+            }
+        }
+        port
     }
 
     fn push(&mut self, at: SimTime, action: Action) {
@@ -277,6 +320,7 @@ impl World {
             addr,
             up: true,
             next_ephemeral: EPHEMERAL_BASE,
+            ephemeral_wrapped: false,
         });
         inner.addr_to_node.insert(addr, id);
         drop(inner);
@@ -459,11 +503,7 @@ impl World {
     }
 
     pub(crate) fn alloc_ephemeral_port(&self, id: NodeId) -> u16 {
-        let mut inner = self.inner.borrow_mut();
-        let node = &mut inner.nodes[id.index() as usize];
-        let port = node.next_ephemeral;
-        node.next_ephemeral = node.next_ephemeral.wrapping_add(1).max(EPHEMERAL_BASE);
-        port
+        self.inner.borrow_mut().alloc_ephemeral(id, MeterTransport::Udp)
     }
 
     fn tcp_port_in_use(inner: &WorldInner, node: NodeId, port: u16) -> bool {
@@ -716,12 +756,7 @@ impl World {
 
     pub(crate) fn tcp_connect(&self, node: NodeId, remote: SocketAddrV4, cb: ConnectCallback) {
         let mut inner = self.inner.borrow_mut();
-        let local_port = {
-            let nd = &mut inner.nodes[node.index() as usize];
-            let p = nd.next_ephemeral;
-            nd.next_ephemeral = nd.next_ephemeral.wrapping_add(1).max(EPHEMERAL_BASE);
-            p
-        };
+        let local_port = inner.alloc_ephemeral(node, MeterTransport::Tcp);
         let local = SocketAddrV4::new(inner.nodes[node.index() as usize].addr, local_port);
         let id = TcpStreamId(inner.streams.len());
         inner.streams.push(Some(StreamData {
@@ -1027,6 +1062,20 @@ impl std::fmt::Debug for World {
 mod tests {
     use super::*;
     use crate::{Collector, Completion};
+
+    /// Past a wrap, the ephemeral cursor passes over a port the node
+    /// still holds instead of handing it out again.
+    #[test]
+    fn ephemeral_ports_skip_held_ports_after_a_wrap() {
+        let world = World::new(0);
+        let node = world.add_node("a");
+        let held = node.udp_bind_ephemeral().unwrap();
+        let held_port = held.local_addr().unwrap().port();
+        world.inner.borrow_mut().nodes[node.id().index() as usize].next_ephemeral = u16::MAX;
+        let _last = node.udp_bind_ephemeral().unwrap();
+        let wrapped = node.udp_bind_ephemeral().expect("the wrap skips the held port");
+        assert_ne!(wrapped.local_addr().unwrap().port(), held_port);
+    }
 
     #[test]
     fn timers_fire_in_order_with_fifo_ties() {
