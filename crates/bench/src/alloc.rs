@@ -157,6 +157,38 @@ mod tests {
         }
     }
 
+    /// The §2.4 parser switch allocates what it keeps: reading the
+    /// benchmark's description document (its `inputs::description`
+    /// device, written with `to_xml`: 823 B) costs at most twice what a
+    /// clone of the result does. A parse that builds a tree or copies
+    /// tokens costs many times that.
+    #[test]
+    fn a_description_parse_allocates_what_it_keeps() {
+        use indiss_upnp::{DeviceDescription, ServiceDescription};
+
+        let name = "c5e1-a";
+        let xml = DeviceDescription {
+            device_type: format!("urn:schemas-upnp-org:device:{name}:1"),
+            friendly_name: format!("Bench {name}"),
+            manufacturer: "indiss-benchmark".into(),
+            manufacturer_url: "http://example.invalid".into(),
+            model_description: "generated device".into(),
+            model_name: name.to_owned(),
+            model_number: "1.0".into(),
+            model_url: "http://example.invalid/model".into(),
+            udn: format!("uuid:{name}"),
+            services: vec![ServiceDescription::conventional("ctl", 1)],
+        }
+        .to_xml();
+        assert_eq!(xml.len(), 823);
+
+        let (parsed, parse) = allocated_during(|| DeviceDescription::from_xml(&xml));
+        let desc = parsed.expect("well-formed");
+        let (copy, kept) = allocated_during(|| desc.clone());
+        assert_eq!(copy, desc);
+        assert!(parse <= 2 * kept, "parsing allocates {parse} B; the result keeps {kept} B");
+    }
+
     /// The gateway's own share of a warm SLP hit. On the sim bus a
     /// `NetDriver` answers each `SrvRqst` on the sending thread, so one
     /// round trip is billed here whole: the bus's copies of request and

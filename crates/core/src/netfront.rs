@@ -121,8 +121,14 @@ pub trait DescriptionFetch: Send + Sync {
     fn fetch(&self, url: &str) -> Option<String>;
 }
 
+/// The most a description response may carry, headers included. A
+/// description is a few KB; a device that sends more is broken or
+/// hostile, and the lane reading it must not buffer without bound.
+const MAX_DESCRIPTION_RESPONSE: u64 = 64 * 1024;
+
 /// A real HTTP GET over `std::net::TcpStream` — the live deployment's
-/// [`DescriptionFetch`]. Timeout-bounded on connect, read and write.
+/// [`DescriptionFetch`]. Timeout-bounded on connect, read and write, and
+/// a response over 64 KiB is a failed fetch.
 #[derive(Debug, Clone)]
 pub struct HttpDescriptionFetch {
     timeout: Duration,
@@ -163,7 +169,10 @@ impl DescriptionFetch for HttpDescriptionFetch {
         let request = format!("GET {path} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n");
         stream.write_all(request.as_bytes()).ok()?;
         let mut wire = Vec::new();
-        stream.read_to_end(&mut wire).ok()?;
+        stream.take(MAX_DESCRIPTION_RESPONSE + 1).read_to_end(&mut wire).ok()?;
+        if wire.len() as u64 > MAX_DESCRIPTION_RESPONSE {
+            return None;
+        }
         let response = indiss_http::Response::parse(&wire).ok()?;
         if !response.is_success() {
             return None;

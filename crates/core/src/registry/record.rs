@@ -43,8 +43,9 @@ impl RecordOrigin {
 ///
 /// A record is built from an advertisement (or response) event stream and
 /// keeps the normalized fields every SDP understands — canonical type,
-/// endpoint, attributes, TTL — plus the original stream so composers can
-/// re-emit protocol-specific events (USNs, leases, …) faithfully.
+/// endpoint, TTL — plus the original stream, which carries the
+/// attributes and lets composers re-emit protocol-specific events (USNs,
+/// leases, …) faithfully.
 ///
 /// Identity fields are interned [`Symbol`]s, so inserting a record never
 /// clones type or key strings and the store's secondary indexes hash one
@@ -56,7 +57,6 @@ pub struct ServiceRecord {
     origin: SdpProtocol,
     key: Symbol,
     endpoint: Option<Symbol>,
-    attrs: Vec<(String, String)>,
     advert: EventStream,
     provenance: RecordOrigin,
     registered_at: SimTime,
@@ -91,11 +91,6 @@ impl ServiceRecord {
             origin,
             key,
             endpoint: stream.service_url().map(Symbol::intern),
-            attrs: stream
-                .response_attrs()
-                .into_iter()
-                .map(|(t, v)| (t.to_owned(), v.to_owned()))
-                .collect(),
             advert: stream.clone(),
             provenance: RecordOrigin::Local,
             registered_at: now,
@@ -140,9 +135,10 @@ impl ServiceRecord {
         self.endpoint.clone()
     }
 
-    /// Attributes carried by the advert.
-    pub fn attrs(&self) -> &[(String, String)] {
-        &self.attrs
+    /// Attributes carried by the advert: its `ResAttr` events, in
+    /// stream order, read from the advert the record already holds.
+    pub fn attrs(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        self.advert.response_attr_iter()
     }
 
     /// The original advert stream (for re-advertising into other SDPs).
@@ -233,7 +229,7 @@ mod tests {
         assert_eq!(r.origin(), SdpProtocol::Slp);
         assert_eq!(r.key(), "soap://10.0.0.2:4005/ctl");
         assert_eq!(r.endpoint(), Some("soap://10.0.0.2:4005/ctl"));
-        assert_eq!(r.attrs(), &[("friendlyName".to_owned(), "Clock".to_owned())]);
+        assert_eq!(r.attrs().collect::<Vec<_>>(), [("friendlyName", "Clock")]);
         assert_eq!(r.expires_at(), Some(SimTime::from_secs(65)));
         assert!(!r.is_expired(SimTime::from_secs(64)));
         assert!(r.is_expired(SimTime::from_secs(65)));

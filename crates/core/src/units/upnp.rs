@@ -382,9 +382,10 @@ pub(crate) fn enrich_advert_with_description(
     body.build()
 }
 
-/// Pushes one `ResAttr` per non-empty description attribute.
+/// Pushes one `ResAttr` per non-empty description attribute, copying
+/// each value once, into its event.
 fn push_description_attrs(desc: &DeviceDescription, body: &mut EventStreamBuilder) {
-    for (tag, value) in desc.attribute_pairs() {
+    for (tag, value) in desc.attributes() {
         if !value.is_empty() {
             body.push(Event::ResAttr { tag: tag.into(), value: value.into() });
         }

@@ -13,8 +13,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use indiss_core::{
-    chrome_trace_json, validate_chrome_trace, DescriptionFetch, Event, EventStream, IndissConfig,
-    NetDriver, Phase, SdpDescriptor, SdpProtocol, StaticDescriptions,
+    chrome_trace_json, validate_chrome_trace, DescriptionFetch, Event, EventStream,
+    HttpDescriptionFetch, IndissConfig, NetDriver, Phase, SdpDescriptor, SdpProtocol,
+    StaticDescriptions,
 };
 use indiss_net::{
     BatchedTransport, BindSpec, Datagram, NetError, NetResult, SimTransport, Transport,
@@ -101,8 +102,8 @@ struct ScriptOutcome {
 /// Boots a gateway on `transport`, replays the canonical script — a
 /// real UPnP NOTIFY advert (description via a canned fetcher, identical
 /// in both runs), a warm SLP request, a repeat inside the suppression
-/// window, and a request for an absent type — and collects the
-/// composed wire bytes plus the registry/bridge state.
+/// window, a request for an absent type and a warm sentinel after it —
+/// and collects the composed wire bytes plus the registry/bridge state.
 fn run_script(transport: Arc<dyn Transport>) -> ScriptOutcome {
     let location = "http://10.88.0.2:4004/description.xml";
     let descriptions = Arc::new(StaticDescriptions::new());
@@ -141,8 +142,17 @@ fn run_script(transport: Arc<dyn Transport>) -> ScriptOutcome {
     // 4. An absent type: fans nowhere, arms suppression, stays silent.
     client.send_to(&slp_request("service:toaster", 0x0AA2), slp_addr).expect("send absent");
     wait_until("the absent-type request is classified", || driver.front_stats().cold_misses == 1);
-    // Give a stray (incorrect) reply a moment to surface on real sockets.
-    assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "absent type must be silence");
+    // 5. A sentinel warm request. The channel is served in order and its
+    //    replies are flushed per batch, so a stray reply to the absent
+    //    type would arrive before the sentinel's: the next datagram
+    //    being the sentinel's reply proves the silence.
+    client.send_to(&slp_request("service:clock", 0x0AA3), slp_addr).expect("send sentinel");
+    let next = rx.recv_timeout(Duration::from_secs(3)).expect("sentinel reply");
+    let xid = indiss_slp::Message::decode(&next.payload).expect("valid reply").header.xid;
+    assert_eq!(xid, 0x0AA3, "absent type must be silence: the next reply is the sentinel's");
+    // A batch's replies are counted after its send returns, so the
+    // sentinel's reply can reach the client before its count does.
+    wait_until("the three replies are counted", || driver.stats().responses_composed >= 3);
 
     let stats = driver.stats();
     let registry = driver.registry();
@@ -180,8 +190,8 @@ fn sim_and_real_socket_runs_are_byte_identical() {
         ),
         other => panic!("unexpected {other:?}"),
     }
-    assert_eq!(sim.cache_hits, 2);
-    assert_eq!(sim.responses_composed, 2);
+    assert_eq!(sim.cache_hits, 3);
+    assert_eq!(sim.responses_composed, 3);
     assert_eq!(sim.adverts_recorded, 1);
     assert!(sim.has_clock);
 
@@ -443,6 +453,9 @@ fn request_right_behind_its_registration_is_always_answered() {
             assert_eq!(rply.urls[0].url, url_of(usize::from(msg.header.xid)));
         }
     }
+    // A batch's replies are counted after its send returns, so the last
+    // reply can reach the client before its count does.
+    wait_until("every reply is counted", || driver.front_stats().replies_sent >= PAIRS as u64);
     let stats = driver.front_stats();
     assert_eq!(stats.replies_sent, PAIRS as u64);
     assert_eq!(stats.cold_misses, 0, "no request ran ahead of its registration");
@@ -580,4 +593,52 @@ fn refused_replies_are_counted_as_dropped() {
     assert_eq!((front.replies_sent, front.replies_dropped), (0, 3));
     assert_eq!(driver.stats().responses_composed, 0);
     driver.shutdown();
+}
+
+/// A description response is capped at 64 KiB: a device that answers
+/// with more fails the fetch (its advert is then recorded unenriched)
+/// instead of making the worker lane buffer all of it. The same
+/// server's normal-sized answer is fetched first, so the `None` is the
+/// cap's and not the server's.
+#[test]
+fn an_oversized_description_is_a_failed_fetch() {
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+
+    let listener = match TcpListener::bind("127.0.0.1:0") {
+        Ok(listener) => listener,
+        Err(e) => {
+            eprintln!("skipping the oversized-description test: no loopback sockets ({e})");
+            return;
+        }
+    };
+    let addr = listener.local_addr().expect("bound");
+    let small = clock_description().to_xml();
+    let bodies = [small.clone().into_bytes(), vec![b'x'; 128 * 1024]];
+    let server = std::thread::spawn(move || {
+        for body in bodies {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut request = Vec::new();
+            let mut chunk = [0u8; 512];
+            while !request.windows(4).any(|w| w == b"\r\n\r\n") {
+                match conn.read(&mut chunk) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => request.extend_from_slice(&chunk[..n]),
+                }
+            }
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n",
+                body.len()
+            );
+            // The client hangs up at the cap, so writing the oversized
+            // answer may end in a broken pipe.
+            let _ = conn.write_all(head.as_bytes()).and_then(|()| conn.write_all(&body));
+        }
+    });
+    let fetch = HttpDescriptionFetch::with_timeout(Duration::from_secs(3));
+    let url = format!("http://{addr}/description.xml");
+    assert_eq!(fetch.fetch(&url), Some(small), "a normal description is fetched");
+    assert_eq!(fetch.fetch(&url), None, "a 128 KiB description must fail the fetch");
+    server.join().expect("server thread");
 }

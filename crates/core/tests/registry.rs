@@ -216,7 +216,7 @@ fn slp_registrations_land_in_registry() {
         .record_by_endpoint("service:printer://10.0.0.9:515", now)
         .expect("indexed by endpoint");
     assert_eq!(record.canonical_type(), "printer");
-    assert_eq!(record.attrs(), &[("ppm".to_owned(), "12".to_owned())]);
+    assert_eq!(record.attrs().collect::<Vec<_>>(), [("ppm", "12")]);
     // The 12 s registration lifetime is the TTL.
     world.run_for(Duration::from_secs(12));
     assert_eq!(registry.record_count_by_origin(SdpProtocol::Slp, world.now()), 0);

@@ -1,8 +1,10 @@
 //! DOM-lite: an owned element tree built from the pull parser.
 //!
-//! UPnP description documents are small (a few KB), so a simple owned tree
-//! is the right trade-off; protocol code navigates with
-//! [`Element::child`] / [`Element::descendant_text`].
+//! The tree serves SOAP envelopes and the document builders; it owns
+//! every name and value, copied out of the borrowed tokens as they are
+//! inserted. Protocol code navigates with [`Element::child`] /
+//! [`Element::descendant_text`]. A reader that needs a few fields of a
+//! large document consumes [`crate::XmlPullParser`] directly instead.
 
 use std::fmt;
 
@@ -56,7 +58,13 @@ impl Element {
         while let Some(token) = parser.next_token()? {
             match token {
                 XmlToken::StartElement { name, attributes, self_closing } => {
-                    let elem = Element { name, attributes, children: Vec::new() };
+                    let attributes =
+                        attributes.into_iter().map(|(n, v)| (n.to_owned(), v.into_owned()));
+                    let elem = Element {
+                        name: name.to_owned(),
+                        attributes: attributes.collect(),
+                        children: Vec::new(),
+                    };
                     if self_closing {
                         match stack.last_mut() {
                             Some(parent) => parent.children.push(XmlNode::Element(elem)),
@@ -78,7 +86,7 @@ impl Element {
                         // Whitespace-only runs between elements are layout,
                         // not data; drop them to simplify navigation.
                         if !text.trim().is_empty() {
-                            parent.children.push(XmlNode::Text(text));
+                            parent.children.push(XmlNode::Text(text.into_owned()));
                         }
                     }
                 }

@@ -6,9 +6,14 @@
 //!
 //! Three layers:
 //!
-//! * [`XmlPullParser`] — streaming tokens; this is what the INDISS UPnP
-//!   unit's "XML parser" (the target of `SDP_C_PARSER_SWITCH`) consumes.
-//! * [`Element`] — an owned DOM-lite tree for navigation.
+//! * [`XmlPullParser`] — streaming tokens that borrow from the document:
+//!   names are slices of it, and so are text and attribute values unless
+//!   an entity had to be resolved. This is what the INDISS UPnP unit's
+//!   "XML parser" (the target of `SDP_C_PARSER_SWITCH`) consumes: the
+//!   description reader takes its fields straight from the tokens in one
+//!   pass, without building a tree.
+//! * [`Element`] — an owned DOM-lite tree for navigation, built from the
+//!   same tokens; SOAP envelopes and the document builders use it.
 //! * [`XmlWriter`] — compact serialization with correct escaping.
 //!
 //! Out of scope, deliberately: DTD validation, namespace resolution

@@ -80,6 +80,20 @@ proptest! {
         let _ = XmlPullParser::new(&s).tokens();
     }
 
+    /// The parser is total on non-ASCII input: it walks bytes, so a
+    /// slice taken inside a multi-byte character would panic here.
+    #[test]
+    fn parser_is_total_on_non_ascii(s in "[ -~é日ß😀\u{a0}\u{3000}]{0,128}") {
+        let _ = XmlPullParser::new(&s).tokens();
+    }
+
+    /// The parser is total on XML-ish shapes with non-ASCII names,
+    /// values and text.
+    #[test]
+    fn parser_is_total_on_non_ascii_xmlish(s in "[<>/a-zé日😀 \"'=&#;!?:-]{0,64}") {
+        let _ = XmlPullParser::new(&s).tokens();
+    }
+
     /// Document round-trips preserve attribute lookup.
     #[test]
     fn attributes_survive_roundtrip(name in xml_name(), key in xml_name(), value in xml_text()) {
