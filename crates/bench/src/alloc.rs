@@ -1,5 +1,6 @@
 //! A counting global allocator for the bench crate's byte-accounting
-//! test, `request_storm_hits_caches_and_pipeline_stays_lean`.
+//! tests below: what the wire engine, a description parse and a warm
+//! SLP hit allocate (`warm_slp_hit_allocates_what_an_echo_does`).
 //!
 //! Wraps the system allocator and keeps a running total of bytes
 //! *requested* (gross allocation volume, reallocations counted by their

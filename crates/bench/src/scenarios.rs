@@ -9,7 +9,7 @@ use std::net::SocketAddrV4;
 use std::time::Duration;
 
 use indiss_core::{AdaptationPolicy, DiscoveryMode, Indiss, IndissConfig};
-use indiss_net::{Collector, Completion, SimTime, World};
+use indiss_net::{Completion, SimTime, World};
 use indiss_slp::{
     AttributeList, Registration, ServiceAgent, SlpConfig, UserAgent, SLP_MULTICAST_GROUP, SLP_PORT,
 };
@@ -127,15 +127,6 @@ pub fn bridged(
             Some(first.take()?.last_seen - t0)
         }
     }
-}
-
-/// The dual-stack baseline (Table 2's no-INDISS alternative): the client
-/// hosts *both* native stacks and uses the service's own protocol — so
-/// response time equals the native path, at twice the footprint.
-pub fn dual_stack_upnp(seed: u64) -> Option<Duration> {
-    // Identical wire behaviour to native UPnP; the cost difference is
-    // footprint (see the table2 binary), not latency.
-    native_upnp(seed)
 }
 
 /// Result of the Fig. 6 adaptation scenario.
@@ -512,245 +503,6 @@ pub fn registry_churn(seed: u64, services: usize) -> ChurnOutcome {
         interner_reclaimed: memory.reclaimed_entries,
         memory,
     }
-}
-
-/// Result of the request-storm scenario.
-#[derive(Debug, Clone)]
-pub struct StormOutcome {
-    /// Discovery requests issued by all clients across all SDPs.
-    pub requests_sent: usize,
-    /// Warm-hit (cache-answered) SLP probe latencies, sorted.
-    pub warm_hit_latencies: Vec<Duration>,
-    /// p50 of the warm-hit latencies.
-    pub warm_hit_p50: Option<Duration>,
-    /// p99 of the warm-hit latencies.
-    pub warm_hit_p99: Option<Duration>,
-    /// Requests answered from the response cache.
-    pub cache_hits: u64,
-    /// Requests absorbed by the negative cache (absent types).
-    pub negative_hits: u64,
-    /// Requests that actually fanned out to foreign units.
-    pub requests_bridged: u64,
-    /// Requests dropped by the suppression window.
-    pub requests_suppressed: u64,
-    /// Total allocator traffic during the storm (whole simulation:
-    /// native stacks, wire codecs and INDISS together).
-    pub storm_bytes_allocated: u64,
-    /// `storm_bytes_allocated / requests_sent` — a whole-system context
-    /// number, not the pipeline metric (that is
-    /// [`warm_hit_pipeline_bytes`]).
-    pub storm_bytes_per_request: u64,
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Option<Duration> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
-}
-
-/// Request storm: `clients` SLP clients (plus one UPnP control point,
-/// one Jini client and one DNS-SD descriptor-protocol client) hammer a
-/// single four-protocol gateway for `rounds` rounds with a mix of
-/// warm-hit ("clock", answered from the response cache after the first
-/// round), miss ("printer" via the SLP unit, "scanner" via the
-/// descriptor unit's native DNS-SD service) and absent-type queries
-/// (persistent per client, absorbed by the negative cache). Reports
-/// warm-hit p50/p99 latency, the gateway's hit counters and the
-/// allocator traffic of the whole storm.
-pub fn request_storm(seed: u64, clients: usize, rounds: usize) -> StormOutcome {
-    use indiss_core::{DescriptorClient, DescriptorService, SdpDescriptor};
-
-    let world = World::new(seed);
-    let gateway = world.add_node("gateway");
-    let service_host = world.add_node("clock-host");
-    let indiss = Indiss::deploy(
-        &gateway,
-        IndissConfig::all_protocols()
-            .descriptor(SdpDescriptor::dns_sd())
-            .cache_ttl(Duration::from_secs(600))
-            .negative_ttl(Duration::from_secs(600)),
-    )
-    .expect("indiss");
-    let _clock = ClockDevice::start(&service_host, UpnpConfig::default()).expect("clock");
-    let slp_host = world.add_node("printer-host");
-    let sa = ServiceAgent::start(&slp_host, SlpConfig::default()).expect("sa");
-    sa.register(
-        Registration::new("service:printer:lpr://10.0.3.1:515", AttributeList::new()).expect("reg"),
-    );
-    // The fourth protocol's native service, generated from the descriptor.
-    let dnssd_host = world.add_node("scanner-host");
-    let dnssd_service =
-        DescriptorService::start(&dnssd_host, SdpDescriptor::dns_sd()).expect("dnssd service");
-    dnssd_service.register("scanner", "scan://10.0.4.1:6566/sane");
-    world.run_for(Duration::from_millis(50)); // initial announcements
-
-    let uas: Vec<UserAgent> = (0..clients.max(1))
-        .map(|i| {
-            let node = world.add_node(&format!("slp-client-{i}"));
-            UserAgent::start(&node, SlpConfig::default()).expect("ua")
-        })
-        .collect();
-    let cp_node = world.add_node("upnp-client");
-    let cp = ControlPoint::start(&cp_node, ControlPointConfig::default()).expect("cp");
-    let jini_node = world.add_node("jini-client");
-    let jini = indiss_jini::JiniAgent::start(&jini_node, indiss_jini::JiniConfig::default())
-        .expect("jini client");
-    let dnssd_client_node = world.add_node("dnssd-client");
-    let dnssd =
-        DescriptorClient::start(&dnssd_client_node, SdpDescriptor::dns_sd()).expect("dnssd client");
-
-    // Round 0 warms the caches (not measured).
-    let mut requests_sent = 0usize;
-    let mut warm_hit_latencies: Vec<Duration> = Vec::new();
-    let before_bytes = crate::alloc::allocated_bytes();
-    for round in 0..rounds.max(1) {
-        let mut pending = Vec::new();
-        for (i, ua) in uas.iter().enumerate() {
-            let (_f, done) = ua.find_services(&world, "service:clock", "");
-            pending.push(done);
-            requests_sent += 1;
-            // A persistent absent type per client: round 0 fans out and
-            // arms the negative cache, every later round is a negative
-            // hit instead of a fan-out.
-            let (_f, _d) = ua.find_services(&world, &format!("service:ghost{i}"), "");
-            requests_sent += 1;
-        }
-        let (_f, _all) = cp.search(&world, SearchTarget::device_urn("printer", 1));
-        requests_sent += 1;
-        let _found = jini.lookup("clock");
-        requests_sent += 1;
-        // The DNS-SD client mixes a warm hit, a descriptor-unit-served
-        // miss and a persistent absent type, like the built-in clients.
-        let (_f, _d) = dnssd.query(&world, "clock");
-        let (_f, _d) = dnssd.query(&world, "ghostdnssd");
-        requests_sent += 2;
-        // One SLP client per round crosses into the fourth protocol.
-        let (_f, _d) = uas[0].find_services(&world, "service:scanner", "");
-        requests_sent += 1;
-        world.run_for(Duration::from_secs(1));
-        if round > 0 {
-            for done in pending {
-                if let Some(rt) = done.take().and_then(|o| o.response_time()) {
-                    warm_hit_latencies.push(rt);
-                }
-            }
-        }
-    }
-    let storm_bytes_allocated = crate::alloc::allocated_bytes() - before_bytes;
-    warm_hit_latencies.sort();
-
-    let stats = indiss.stats();
-    StormOutcome {
-        requests_sent,
-        warm_hit_p50: percentile(&warm_hit_latencies, 0.50),
-        warm_hit_p99: percentile(&warm_hit_latencies, 0.99),
-        warm_hit_latencies,
-        cache_hits: stats.cache_hits,
-        negative_hits: stats.negative_hits,
-        requests_bridged: stats.requests_bridged,
-        requests_suppressed: stats.requests_suppressed,
-        storm_bytes_allocated,
-        storm_bytes_per_request: storm_bytes_allocated / requests_sent.max(1) as u64,
-    }
-}
-
-/// Bytes of allocator traffic per warm-hit bridged request, measured on
-/// the event pipeline alone: parse the native request into an event
-/// stream, answer it from the registry's response cache, and clone the
-/// response once more for delivery — exactly the work the runtime's
-/// warm/deliver path performs before native composition takes over.
-///
-/// Wire encoding and the simulated network are deliberately excluded:
-/// they cost the same with or without INDISS's event layer, and the
-/// paper's lightweightness claim (§4.3) is about the translation
-/// machinery itself.
-pub fn warm_hit_pipeline_bytes(iters: u64) -> u64 {
-    use indiss_core::{
-        Event, EventStream, ParsedMessage, RegistryConfig, ServiceRegistry, SlpUnit, SlpUnitConfig,
-        Unit,
-    };
-    assert!(iters > 0);
-    let world = World::new(11);
-    let gateway = world.add_node("gateway");
-    let unit = SlpUnit::new(&gateway, SlpUnitConfig::default()).expect("unit");
-    let registry = ServiceRegistry::new(RegistryConfig {
-        cache_ttl: Duration::from_secs(3600),
-        ..RegistryConfig::default()
-    });
-    unit.bind_registry(&registry);
-    let now = world.now();
-    registry.warm(
-        "clock",
-        EventStream::framed(vec![
-            Event::ServiceResponse,
-            Event::ResOk,
-            Event::ServiceType("clock".into()),
-            Event::ResTtl(1800),
-            Event::ResServUrl("soap://10.0.0.2:4004/service/timer/control".into()),
-            Event::ResAttr { tag: "friendlyName".into(), value: "CyberGarage Clock Device".into() },
-        ]),
-        now,
-    );
-    let msg = indiss_slp::Message::new(
-        indiss_slp::Header::new(indiss_slp::FunctionId::SrvRqst, 7, "en"),
-        indiss_slp::Body::SrvRqst(indiss_slp::SrvRqst {
-            prlist: String::new(),
-            service_type: "service:clock".into(),
-            scopes: "DEFAULT".into(),
-            predicate: String::new(),
-            spi: String::new(),
-        }),
-    );
-    let dgram = indiss_net::Datagram {
-        src: "10.0.0.9:40000".parse().expect("addr"),
-        dst: SocketAddrV4::new(SLP_MULTICAST_GROUP, SLP_PORT),
-        payload: msg.encode().expect("encode"),
-    };
-    let round = |dgram: &indiss_net::Datagram| {
-        let ParsedMessage::Request(request) = unit.parse(&world, dgram) else {
-            panic!("expected request");
-        };
-        let response = registry.cached_response("clock", now).expect("warm");
-        let delivered = response.clone(); // the runtime's deliver step
-        std::hint::black_box((request, delivered));
-    };
-    round(&dgram); // warm-up: interner + cache recency are steady state
-    let (_, bytes) = crate::alloc::allocated_during(|| {
-        for _ in 0..iters {
-            round(&dgram);
-        }
-    });
-    bytes / iters
-}
-
-/// Counts how many SLP multicast requests it takes to saturate a
-/// `Collector` with responses — used as a smoke workload generator for
-/// the Criterion benches.
-pub fn smoke_workload(seed: u64, services: usize) -> usize {
-    let world = World::new(seed);
-    let client = world.add_node("client");
-    let ua = UserAgent::start(&client, SlpConfig::default()).expect("ua");
-    let found: Collector<String> = Collector::new();
-    for i in 0..services {
-        let node = world.add_node(&format!("svc{i}"));
-        let sa = ServiceAgent::start(&node, SlpConfig::default()).expect("sa");
-        sa.register(
-            Registration::new(
-                &format!("service:printer://10.0.9.{}:515", i + 1),
-                AttributeList::new(),
-            )
-            .expect("reg"),
-        );
-    }
-    let (_f, done) = ua.find_services(&world, "service:printer", "");
-    world.run_for(Duration::from_secs(2));
-    let urls = done.take().map(|o| o.urls).unwrap_or_default();
-    for u in urls {
-        found.push(u.url);
-    }
-    found.len()
 }
 
 /// Outcome of the hostile-world storm ([`hostile_world`]): a

@@ -1,19 +1,19 @@
-//! The scenario engine: compiles a parsed `World = { … }` block into a
+//! The scenario engine: compiles a declared [`WorldSpec`] into a
 //! seeded deterministic run.
 //!
-//! A world is declared as §3 config text (see the texts in
-//! [`matrix`]), parsed by [`IndissConfig::from_system_sdp`] into an
-//! [`indiss_core::WorldSpec`], and executed by [`run_world`]:
+//! A world is declared as a [`WorldSpec`] literal (see [`matrix`]),
+//! checked by [`WorldSpec::validate`], and executed by [`run_world`]:
 //!
-//! - `Gateways` mesh-federated [`MeshNode`]s over one shared
+//! - `gateways` mesh-federated [`MeshNode`]s over one shared
 //!   [`SimTransport`] bus, each behind its own [`FaultTransport`]
 //!   ingress wrapper carrying the world's shared fault rates plus that
-//!   gateway's scheduled `Cut` windows (virtual-time partitions);
+//!   gateway's scheduled [`LinkCut`] windows (virtual-time partitions);
 //! - churn driven per engine tick: seeded arrivals re-announce
 //!   services at their home gateways, departures leave records to die
 //!   by TTL;
-//! - `Move` scripts re-home a service to a new gateway mid-run (the
-//!   mobility axis — the handover must converge to one live record);
+//! - [`MobilityMove`] scripts re-home a service to a new gateway
+//!   mid-run (the mobility axis — the handover must converge to one
+//!   live record);
 //! - an adversarial injector drawing malformed datagrams from the
 //!   fuzzer's [`MutationSource`] strategy mix and firing them at the
 //!   gateways' mesh ports;
@@ -36,9 +36,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use indiss_core::{
-    chrome_trace_json, Event, EventStream, IndissConfig, MemoryBudget, MeshConfig, MeshNode,
-    MutationSource, RegistryConfig, ScenarioRng, SdpProtocol, ServiceRegistry, SimClock, Symbol,
-    Tracer, WorldSpec,
+    chrome_trace_json, Event, EventStream, LinkCut, MemoryBudget, MeshConfig, MeshNode,
+    MobilityMove, MutationSource, RegistryConfig, ScenarioRng, SdpProtocol, ServiceRegistry,
+    SimClock, Symbol, Tracer, WorldAsserts, WorldFault, WorldSpec,
 };
 use indiss_net::{
     Datagram, FaultStats, FaultTransport, SimTime, SimTransport, Transport, TransportSocket,
@@ -58,15 +58,12 @@ const SOAK_TTL_SECS: u32 = 4;
 /// flood's size.
 const SOAK_SWEEP_EVERY: u64 = 4096;
 
-/// A named world from the scenario matrix: the §3 config text it was
-/// declared as, and the validated spec parsed back out of it.
+/// A named world from the scenario matrix.
 #[derive(Debug, Clone)]
 pub struct NamedWorld {
     /// Stable row name, pinned with its digest by the tests.
     pub name: &'static str,
-    /// The full `System SDP = { … World = { … } }` declaration.
-    pub text: &'static str,
-    /// The spec the text parses to.
+    /// The world's declarative shape.
     pub spec: WorldSpec,
 }
 
@@ -336,10 +333,11 @@ impl Engine<'_> {
 ///
 /// # Panics
 ///
-/// When a declared assertion fails — bounded memory, registry,
-/// custody, or tracker population, or the delivery floor.
+/// When `spec` fails [`WorldSpec::validate`], or when a declared
+/// assertion fails — bounded memory, registry, custody, or tracker
+/// population, or the delivery floor.
 pub fn run_world(name: &str, spec: &WorldSpec) -> WorldOutcome {
-    spec.validate().expect("matrix worlds are pre-validated");
+    spec.validate().expect("a world must validate before it runs");
     let budget =
         MemoryBudget::capture(spec.asserts.max_interned_bytes.map_or(usize::MAX, |b| b as usize));
 
@@ -635,106 +633,120 @@ fn run_world_sim(name: &str, spec: &WorldSpec) -> WorldOutcome {
     }
 }
 
-/// Declares the scenario matrix as §3 config text and parses each
-/// world back out. Durations, injection rates and the soak are sized
-/// so the whole matrix runs twice inside `cargo test`, while every
-/// world keeps its *shape*: the ≥ 1000-node churn world, the mobility
-/// world under a link cut, adversarial injection, and a soak that
-/// churns far more records through the stores than they ever hold.
-///
-/// # Panics
-///
-/// When a matrix text fails to parse — the texts are part of the
-/// build, so that is a bug, not an input error.
+/// Declares the scenario matrix. Durations, injection rates and the
+/// soak are sized so the whole matrix runs twice inside `cargo test`,
+/// while every world keeps its *shape*: the ≥ 1000-node churn world,
+/// the mobility world under a link cut, adversarial injection, and a
+/// soak that churns far more records through the stores than they ever
+/// hold. Every world ticks every 500 ms with an 8 s advert TTL, the
+/// [`WorldSpec::default`] values.
 pub fn matrix() -> Vec<NamedWorld> {
-    const DECLARATIONS: [(&str, &str); 5] = [
-        (
-            "baseline_quiet",
-            "System SDP = {
-               Component Unit SLP(port=427);
-               World = {
-                 Seed = 11; Gateways = 3; Services = 24;
-                 DurationSecs = 6; TickMillis = 500;
-                 ChurnArrivalsPerTick = 4; ChurnDeparturesPerTick = 2;
-                 AdvertTtlSecs = 8;
-                 Assert = { MinDeliveryPct = 90; MaxRegistryRecords = 4096;
-                            MaxTrackerEntries = 64 };
-               };
-             }",
-        ),
-        (
-            "churn_1204_nodes",
-            "System SDP = {
-               Component Unit SLP(port=427);
-               World = {
-                 Seed = 22; Gateways = 4; Services = 1200;
-                 DurationSecs = 8; TickMillis = 500;
-                 ChurnArrivalsPerTick = 40; ChurnDeparturesPerTick = 30;
-                 AdvertTtlSecs = 8;
-                 Fault = { DropPct = 5; ReorderPct = 5 };
-                 Assert = { MinDeliveryPct = 80; MaxRegistryRecords = 4096;
-                            MaxTrackerEntries = 128 };
-               };
-             }",
-        ),
-        (
-            "mobility_cut",
-            "System SDP = {
-               Component Unit SLP(port=427);
-               World = {
-                 Seed = 33; Gateways = 3; Services = 30;
-                 DurationSecs = 12; TickMillis = 500;
-                 ChurnArrivalsPerTick = 6; ChurnDeparturesPerTick = 1;
-                 AdvertTtlSecs = 8;
-                 Cut = { Gateway = 1; FromSecs = 2; ToSecs = 5 };
-                 Move = { Service = 3; From = 0; To = 2; AtSecs = 3 };
-                 Move = { Service = 7; From = 1; To = 0; AtSecs = 6 };
-                 Assert = { MinDeliveryPct = 80; MaxCustody = 64;
-                            MaxTrackerEntries = 64 };
-               };
-             }",
-        ),
-        (
-            "adversarial_inject",
-            "System SDP = {
-               Component Unit SLP(port=427);
-               World = {
-                 Seed = 44; Gateways = 4; Services = 40;
-                 DurationSecs = 8; TickMillis = 500;
-                 ChurnArrivalsPerTick = 8; ChurnDeparturesPerTick = 4;
-                 AdvertTtlSecs = 8; InjectPerTick = 20;
-                 Fault = { DropPct = 10; CorruptPct = 5; DelayPct = 5;
-                           ReorderPct = 5; DuplicatePct = 3 };
-                 Assert = { MaxInternedBytes = 262144; MaxRegistryRecords = 4096;
-                            MaxTrackerEntries = 128 };
-               };
-             }",
-        ),
-        (
-            "soak_million",
-            "System SDP = {
-               Component Unit SLP(port=427);
-               World = {
-                 Seed = 55; Gateways = 2; Services = 8;
-                 DurationSecs = 4; TickMillis = 500;
-                 SoakRecords = 20000;
-                 AdvertTtlSecs = 8;
-                 Assert = { MaxInternedBytes = 262144; MaxRegistryRecords = 4096;
-                            MaxCustody = 64; MaxTrackerEntries = 64 };
-               };
-             }",
-        ),
-    ];
-
-    DECLARATIONS
-        .into_iter()
-        .map(|(name, text)| {
-            let config = IndissConfig::from_system_sdp(text)
-                .unwrap_or_else(|e| panic!("matrix world '{name}' must parse: {e}"));
-            let spec = config.world.unwrap_or_else(|| panic!("matrix world '{name}' has no World"));
-            NamedWorld { name, text, spec }
-        })
-        .collect()
+    vec![
+        NamedWorld {
+            name: "baseline_quiet",
+            spec: WorldSpec {
+                seed: 11,
+                gateways: 3,
+                services: 24,
+                duration_secs: 6,
+                churn_arrivals_per_tick: 4,
+                churn_departures_per_tick: 2,
+                asserts: WorldAsserts {
+                    min_delivery_pct: Some(90),
+                    max_registry_records: Some(4096),
+                    max_tracker_entries: Some(64),
+                    ..WorldAsserts::default()
+                },
+                ..WorldSpec::default()
+            },
+        },
+        NamedWorld {
+            name: "churn_1204_nodes",
+            spec: WorldSpec {
+                seed: 22,
+                gateways: 4,
+                services: 1200,
+                duration_secs: 8,
+                churn_arrivals_per_tick: 40,
+                churn_departures_per_tick: 30,
+                fault: WorldFault { drop_pct: 5, reorder_pct: 5, ..WorldFault::default() },
+                asserts: WorldAsserts {
+                    min_delivery_pct: Some(80),
+                    max_registry_records: Some(4096),
+                    max_tracker_entries: Some(128),
+                    ..WorldAsserts::default()
+                },
+                ..WorldSpec::default()
+            },
+        },
+        NamedWorld {
+            name: "mobility_cut",
+            spec: WorldSpec {
+                seed: 33,
+                gateways: 3,
+                services: 30,
+                duration_secs: 12,
+                churn_arrivals_per_tick: 6,
+                churn_departures_per_tick: 1,
+                cuts: vec![LinkCut { gateway: 1, from_secs: 2, to_secs: 5 }],
+                moves: vec![
+                    MobilityMove { service: 3, from_gateway: 0, to_gateway: 2, at_secs: 3 },
+                    MobilityMove { service: 7, from_gateway: 1, to_gateway: 0, at_secs: 6 },
+                ],
+                asserts: WorldAsserts {
+                    min_delivery_pct: Some(80),
+                    max_custody: Some(64),
+                    max_tracker_entries: Some(64),
+                    ..WorldAsserts::default()
+                },
+                ..WorldSpec::default()
+            },
+        },
+        NamedWorld {
+            name: "adversarial_inject",
+            spec: WorldSpec {
+                seed: 44,
+                gateways: 4,
+                services: 40,
+                duration_secs: 8,
+                churn_arrivals_per_tick: 8,
+                churn_departures_per_tick: 4,
+                inject_per_tick: 20,
+                fault: WorldFault {
+                    drop_pct: 10,
+                    corrupt_pct: 5,
+                    delay_pct: 5,
+                    reorder_pct: 5,
+                    duplicate_pct: 3,
+                },
+                asserts: WorldAsserts {
+                    max_interned_bytes: Some(262_144),
+                    max_registry_records: Some(4096),
+                    max_tracker_entries: Some(128),
+                    ..WorldAsserts::default()
+                },
+                ..WorldSpec::default()
+            },
+        },
+        NamedWorld {
+            name: "soak_million",
+            spec: WorldSpec {
+                seed: 55,
+                gateways: 2,
+                services: 8,
+                duration_secs: 4,
+                soak_records: 20_000,
+                asserts: WorldAsserts {
+                    max_interned_bytes: Some(262_144),
+                    max_registry_records: Some(4096),
+                    max_custody: Some(64),
+                    max_tracker_entries: Some(64),
+                    ..WorldAsserts::default()
+                },
+                ..WorldSpec::default()
+            },
+        },
+    ]
 }
 
 #[cfg(test)]

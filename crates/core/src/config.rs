@@ -179,13 +179,6 @@ pub struct IndissConfig {
     pub gossip_interval: Duration,
     /// Most adverts held in store-and-forward custody per down peer.
     pub custody_capacity: usize,
-    /// A declarative hostile world parsed from a `World = { … }` block
-    /// in the §3 config text, if one was declared. The deployable
-    /// runtime ignores it; the scenario engine
-    /// (`crates/bench/src/worlds.rs`) compiles it into a seeded
-    /// deterministic run. Always pre-validated by
-    /// [`crate::WorldSpec::validate`].
-    pub world: Option<crate::scenario::WorldSpec>,
     /// Whether the runtimes record pipeline trace spans and latency
     /// histograms ([`crate::Tracer`]). Off by default: a disabled
     /// tracer costs one branch per record site.
@@ -227,7 +220,6 @@ impl IndissConfig {
             peers: Vec::new(),
             gossip_interval: MeshConfig::default().gossip_interval,
             custody_capacity: MeshConfig::default().custody_capacity,
-            world: None,
             trace: false,
             trace_capacity: 4096,
             stats_port: None,

@@ -39,7 +39,6 @@ use std::net::Ipv4Addr;
 use crate::config::IndissConfig;
 use crate::error::{CoreError, CoreResult};
 use crate::event::SdpProtocol;
-use crate::scenario::{LinkCut, MobilityMove, WorldAsserts, WorldFault, WorldSpec};
 use crate::units::SdpDescriptor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -294,225 +293,6 @@ fn parse_peers(p: &mut Parser) -> CoreResult<(u16, Vec<u16>)> {
     Ok((own, ports.collect()))
 }
 
-impl Parser {
-    /// A number that must fit `u32` (the `World` block's field width).
-    fn expect_u32(&mut self) -> CoreResult<u32> {
-        let n = self.expect_number()?;
-        u32::try_from(n)
-            .map_err(|_| CoreError::ConfigSyntax(format!("'{n}' is out of range (max 4294967295)")))
-    }
-}
-
-/// Parses one `{ Key = number; … }` sub-block of a `World` block,
-/// dispatching each key through `field`. Shared by the `Fault`, `Cut`,
-/// `Move` and `Assert` parsers, which differ only in their key sets.
-fn parse_world_numbers(
-    p: &mut Parser,
-    block: &str,
-    field: &mut dyn FnMut(&str, u64) -> bool,
-) -> CoreResult<()> {
-    p.expect_punct('{')?;
-    while !p.eat_punct('}') {
-        let key = p.expect_ident()?;
-        p.expect_punct('=')?;
-        let value = p.expect_number()?;
-        if !field(key.to_ascii_lowercase().as_str(), value) {
-            return Err(CoreError::ConfigSyntax(format!(
-                "unknown {block} key '{key}' in the World block"
-            )));
-        }
-        if !p.eat_punct(';') && !p.eat_punct(',') {
-            p.expect_punct('}')?;
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Narrows a sub-block value to `u32`, surfacing overflow as syntax.
-fn world_u32(value: u64) -> CoreResult<u32> {
-    u32::try_from(value)
-        .map_err(|_| CoreError::ConfigSyntax(format!("'{value}' is out of range (max 4294967295)")))
-}
-
-/// Parses the `World = { … }` scenario block into a validated
-/// [`WorldSpec`]. Grammar (every entry optional, defaults from
-/// [`WorldSpec::default`]; `Cut` and `Move` may repeat):
-///
-/// ```text
-/// World = {
-///   Seed = 42; Gateways = 4; Services = 1200;
-///   DurationSecs = 30; TickMillis = 500;
-///   ChurnArrivalsPerTick = 40; ChurnDeparturesPerTick = 30;
-///   AdvertTtlSecs = 8; InjectPerTick = 5; SoakRecords = 1000000;
-///   Fault = { DropPct = 10; CorruptPct = 5; DelayPct = 5;
-///             ReorderPct = 5; DuplicatePct = 3 };
-///   Cut = { Gateway = 1; FromSecs = 2; ToSecs = 5 };
-///   Move = { Service = 7; From = 0; To = 2; AtSecs = 10 };
-///   Assert = { MaxInternedBytes = 262144; MinDeliveryPct = 80;
-///              MaxRegistryRecords = 4096; MaxCustody = 64;
-///              MaxTrackerEntries = 512 };
-/// };
-/// ```
-fn parse_world(p: &mut Parser) -> CoreResult<WorldSpec> {
-    p.expect_punct('=')?;
-    p.expect_punct('{')?;
-    let mut spec = WorldSpec::default();
-    while !p.eat_punct('}') {
-        let key = p.expect_ident()?;
-        match key.to_ascii_lowercase().as_str() {
-            "seed" => {
-                p.expect_punct('=')?;
-                spec.seed = p.expect_number()?;
-            }
-            "gateways" => {
-                p.expect_punct('=')?;
-                spec.gateways = p.expect_u32()?;
-            }
-            "services" => {
-                p.expect_punct('=')?;
-                spec.services = p.expect_u32()?;
-            }
-            "durationsecs" => {
-                p.expect_punct('=')?;
-                spec.duration_secs = p.expect_u32()?;
-            }
-            "tickmillis" => {
-                p.expect_punct('=')?;
-                spec.tick_millis = p.expect_u32()?;
-            }
-            "churnarrivalspertick" => {
-                p.expect_punct('=')?;
-                spec.churn_arrivals_per_tick = p.expect_u32()?;
-            }
-            "churndeparturespertick" => {
-                p.expect_punct('=')?;
-                spec.churn_departures_per_tick = p.expect_u32()?;
-            }
-            "advertttlsecs" => {
-                p.expect_punct('=')?;
-                spec.advert_ttl_secs = p.expect_u32()?;
-            }
-            "injectpertick" => {
-                p.expect_punct('=')?;
-                spec.inject_per_tick = p.expect_u32()?;
-            }
-            "soakrecords" => {
-                p.expect_punct('=')?;
-                spec.soak_records = p.expect_number()?;
-            }
-            "fault" => {
-                p.expect_punct('=')?;
-                let mut fault = WorldFault::default();
-                let mut bad = Ok(());
-                parse_world_numbers(p, "Fault", &mut |key, value| {
-                    let narrowed = match world_u32(value) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            bad = Err(e);
-                            return true;
-                        }
-                    };
-                    match key {
-                        "droppct" => fault.drop_pct = narrowed,
-                        "corruptpct" => fault.corrupt_pct = narrowed,
-                        "delaypct" => fault.delay_pct = narrowed,
-                        "reorderpct" => fault.reorder_pct = narrowed,
-                        "duplicatepct" => fault.duplicate_pct = narrowed,
-                        _ => return false,
-                    }
-                    true
-                })?;
-                bad?;
-                spec.fault = fault;
-            }
-            "cut" => {
-                p.expect_punct('=')?;
-                let mut cut = LinkCut { gateway: 0, from_secs: 0, to_secs: 0 };
-                let mut bad = Ok(());
-                parse_world_numbers(p, "Cut", &mut |key, value| {
-                    let narrowed = match world_u32(value) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            bad = Err(e);
-                            return true;
-                        }
-                    };
-                    match key {
-                        "gateway" => cut.gateway = narrowed,
-                        "fromsecs" => cut.from_secs = narrowed,
-                        "tosecs" => cut.to_secs = narrowed,
-                        _ => return false,
-                    }
-                    true
-                })?;
-                bad?;
-                spec.cuts.push(cut);
-            }
-            "move" => {
-                p.expect_punct('=')?;
-                let mut mv =
-                    MobilityMove { service: 0, from_gateway: 0, to_gateway: 0, at_secs: 0 };
-                let mut bad = Ok(());
-                parse_world_numbers(p, "Move", &mut |key, value| {
-                    let narrowed = match world_u32(value) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            bad = Err(e);
-                            return true;
-                        }
-                    };
-                    match key {
-                        "service" => mv.service = narrowed,
-                        "from" | "fromgateway" => mv.from_gateway = narrowed,
-                        "to" | "togateway" => mv.to_gateway = narrowed,
-                        "atsecs" => mv.at_secs = narrowed,
-                        _ => return false,
-                    }
-                    true
-                })?;
-                bad?;
-                spec.moves.push(mv);
-            }
-            "assert" => {
-                p.expect_punct('=')?;
-                let mut asserts = WorldAsserts::default();
-                let mut bad = Ok(());
-                parse_world_numbers(p, "Assert", &mut |key, value| {
-                    match key {
-                        "maxinternedbytes" => asserts.max_interned_bytes = Some(value),
-                        "mindeliverypct" => match world_u32(value) {
-                            Ok(v) => asserts.min_delivery_pct = Some(v),
-                            Err(e) => bad = Err(e),
-                        },
-                        "maxregistryrecords" => asserts.max_registry_records = Some(value),
-                        "maxcustody" => asserts.max_custody = Some(value),
-                        "maxtrackerentries" => asserts.max_tracker_entries = Some(value),
-                        _ => return false,
-                    }
-                    true
-                })?;
-                bad?;
-                spec.asserts = asserts;
-            }
-            _ => {
-                return Err(CoreError::ConfigSyntax(format!(
-                    "unknown World key '{key}' (Seed, Gateways, Services, DurationSecs, \
-                     TickMillis, ChurnArrivalsPerTick, ChurnDeparturesPerTick, AdvertTtlSecs, \
-                     InjectPerTick, SoakRecords, Fault, Cut, Move, Assert)"
-                )));
-            }
-        }
-        if !p.eat_punct(';') && !p.eat_punct(',') {
-            p.expect_punct('}')?;
-            break;
-        }
-    }
-    p.eat_punct(';');
-    spec.validate()?;
-    Ok(spec)
-}
-
 /// Parses the `Trace = { Enabled = 1; Capacity = 4096; StatsPort = 9900 }`
 /// observability block. Every key is optional: `Enabled` (0/1) turns
 /// span recording on, `Capacity` sizes each per-lane span ring, and
@@ -666,11 +446,6 @@ pub(crate) fn parse_system_sdp(text: &str) -> CoreResult<IndissConfig> {
             config = config.mesh(own, peers);
             continue;
         }
-        if p.peek_keyword("World") {
-            p.at += 1;
-            config.world = Some(parse_world(&mut p)?);
-            continue;
-        }
         if p.peek_keyword("Trace") {
             p.at += 1;
             parse_trace(&mut p, &mut config)?;
@@ -783,6 +558,9 @@ mod tests {
         assert!(parse_system_sdp("").is_err());
         assert!(parse_system_sdp("System SDP = {").is_err(), "unclosed block");
         assert!(parse_system_sdp("System SDP = { } trailing").is_err(), "trailing input rejected");
+        // Worlds are declared as `WorldSpec` values, not config text.
+        let err = parse_system_sdp("System SDP = { World = { Seed = 1 }; }").unwrap_err();
+        assert!(matches!(err, CoreError::ConfigSyntax(_)), "{err}");
         assert!(
             parse_system_sdp("System SDP = { Component Unit X(port=6402) = { Group = 1.2.3 } }")
                 .is_err(),
@@ -832,74 +610,6 @@ mod tests {
             let err = parse_system_sdp(bad).unwrap_err();
             assert!(matches!(err, CoreError::ConfigSyntax(_)), "{bad}: {err}");
         }
-    }
-
-    #[test]
-    fn world_block_parses_to_a_validated_spec() {
-        let text = "System SDP = {\n\
-             Peers = { 7100; 7101 }\n\
-             Component Unit SLP(port=427);\n\
-             World = {\n\
-               Seed = 42; Gateways = 4; Services = 1200;\n\
-               DurationSecs = 30; TickMillis = 500;\n\
-               ChurnArrivalsPerTick = 40; ChurnDeparturesPerTick = 30;\n\
-               AdvertTtlSecs = 8; InjectPerTick = 5;\n\
-               Fault = { DropPct = 10; CorruptPct = 5 };\n\
-               Cut = { Gateway = 1; FromSecs = 2; ToSecs = 5 };\n\
-               Move = { Service = 7; From = 0; To = 2; AtSecs = 10 };\n\
-               Assert = { MaxInternedBytes = 262144; MinDeliveryPct = 80 };\n\
-             };\n\
-             }";
-        let config = parse_system_sdp(text).expect("world block parses");
-        let world = config.world.expect("world present");
-        assert_eq!(world.seed, 42);
-        assert_eq!(world.gateways, 4);
-        assert_eq!(world.services, 1200);
-        assert_eq!(world.nodes(), 1204);
-        assert_eq!(world.duration_secs, 30);
-        assert_eq!(world.fault.drop_pct, 10);
-        assert_eq!(world.fault.corrupt_pct, 5);
-        assert_eq!(world.fault.reorder_pct, 0, "unset rates default to zero");
-        assert_eq!(world.cuts, vec![LinkCut { gateway: 1, from_secs: 2, to_secs: 5 }]);
-        assert_eq!(
-            world.moves,
-            vec![MobilityMove { service: 7, from_gateway: 0, to_gateway: 2, at_secs: 10 }]
-        );
-        assert_eq!(world.asserts.max_interned_bytes, Some(262_144));
-        assert_eq!(world.asserts.min_delivery_pct, Some(80));
-        assert_eq!(world.asserts.max_custody, None);
-        // Without a World block, none is attached.
-        let solo = parse_system_sdp("System SDP = { Component Unit SLP(port=427); }").unwrap();
-        assert!(solo.world.is_none());
-    }
-
-    #[test]
-    fn world_numeric_abuse_is_rejected_not_run() {
-        // Overflowing a u32 field is a syntax error, not a wrap.
-        let overflow = "System SDP = { World = { Gateways = 99999999999999999999 }; }";
-        assert!(parse_system_sdp(overflow).is_err(), "number too big for the lexer");
-        let too_wide = "System SDP = { World = { Gateways = 4294967296 }; }";
-        let err = parse_system_sdp(too_wide).unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
-        // In-range but absurd values die in validate(), as BadConfig.
-        for bad in [
-            "System SDP = { World = { Gateways = 5000 }; }",
-            "System SDP = { World = { Services = 0 }; }",
-            "System SDP = { World = { DurationSecs = 4000 }; }",
-            "System SDP = { World = { Fault = { DropPct = 700 } }; }",
-            "System SDP = { World = { Cut = { Gateway = 0; FromSecs = 9; ToSecs = 2 } }; }",
-            "System SDP = { World = { Move = { Service = 0; From = 1; To = 1; AtSecs = 1 } }; }",
-            "System SDP = { World = { SoakRecords = 999999999999 }; }",
-        ] {
-            let err = parse_system_sdp(bad).unwrap_err();
-            assert!(matches!(err, CoreError::BadConfig(_)), "{bad}: {err}");
-        }
-        // Unknown keys are named in the error.
-        let err = parse_system_sdp("System SDP = { World = { Blorp = 3 }; }").unwrap_err();
-        assert!(err.to_string().contains("Blorp"), "{err}");
-        let err = parse_system_sdp("System SDP = { World = { Fault = { NoiseLevel = 3 } }; }")
-            .unwrap_err();
-        assert!(err.to_string().contains("NoiseLevel"), "{err}");
     }
 
     #[test]

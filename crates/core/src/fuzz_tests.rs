@@ -165,10 +165,9 @@ fn seeds() -> Vec<Vec<u8>> {
 }
 
 /// Valid `System SDP = { … }` texts — the corpus the config-language
-/// fuzz walk mutates. Includes `World` blocks with every key, numeric
-/// extremes at the validation boundaries, and the paper's own example,
-/// so splices land just past the "well-formed" edge where parser bugs
-/// live.
+/// fuzz walk mutates. Includes every block, numeric extremes at the
+/// validation boundaries, and the paper's own example, so splices land
+/// just past the "well-formed" edge where parser bugs live.
 fn config_seeds() -> Vec<Vec<u8>> {
     [
         "System SDP = {\n\
@@ -178,18 +177,8 @@ fn config_seeds() -> Vec<Vec<u8>> {
          Component Unit JINI(port=4160); }",
         "System SDP = {\n\
          Peers = { 7100; 7101; 7102 }\n\
-         Component Unit SLP(port=427);\n\
-         World = {\n\
-           Seed = 42; Gateways = 4; Services = 1200;\n\
-           DurationSecs = 30; TickMillis = 500;\n\
-           ChurnArrivalsPerTick = 40; ChurnDeparturesPerTick = 30;\n\
-           AdvertTtlSecs = 8; InjectPerTick = 5; SoakRecords = 1000000;\n\
-           Fault = { DropPct = 10; CorruptPct = 5; DelayPct = 5; ReorderPct = 5; DuplicatePct = 3 };\n\
-           Cut = { Gateway = 1; FromSecs = 2; ToSecs = 5 };\n\
-           Move = { Service = 7; From = 0; To = 2; AtSecs = 10 };\n\
-           Assert = { MaxInternedBytes = 262144; MinDeliveryPct = 80;\n\
-                      MaxRegistryRecords = 4096; MaxCustody = 64; MaxTrackerEntries = 512 };\n\
-         }; }",
+         Trace = { Enabled = 1; Capacity = 4096; StatsPort = 9900 };\n\
+         Component Unit SLP(port=427); }",
         "System SDP = {\n\
          Component Unit DNS-SD(port=5353) = {\n\
            Group  = 224.0.0.251;\n\
@@ -199,11 +188,13 @@ fn config_seeds() -> Vec<Vec<u8>> {
          }; }",
         // Numbers parked on the validation boundaries — one bit flip or
         // splice away from every off-by-one.
-        "System SDP = { World = { Gateways = 64; Services = 2000000; DurationSecs = 3600;\n\
-           TickMillis = 10000; SoakRecords = 10000000; InjectPerTick = 1000;\n\
-           Fault = { DropPct = 100 }; }; }",
-        "System SDP = { World = { Seed = 18446744073709551615; Gateways = 2; Services = 1;\n\
-           DurationSecs = 1; TickMillis = 1; AdvertTtlSecs = 86400; }; }",
+        "System SDP = { Peers = { 65535; 0 }\n\
+           Trace = { Enabled = 0; Capacity = 16777216; StatsPort = 65535 };\n\
+           Component Unit X(port=65535) = { Group = 239.255.255.255; Ttl = 4294967295;\n\
+             Query = \"X? {type}\"; Answer = \"X! {type} {url}\" }; }",
+        "System SDP = { Trace = { Capacity = 1; StatsPort = 0 };\n\
+           Component Unit Y(port=1) = { Group = 224.0.0.1; Ttl = 0;\n\
+             Query = \"Y? {type}\"; Answer = \"Y! {type} {url}\" }; }",
     ]
     .iter()
     .map(|text| text.as_bytes().to_vec())
@@ -286,11 +277,10 @@ fn fuzz_all_wire_decoders() {
     );
 }
 
-/// The scenario/`World` parser as a fuzz entry point: config soup,
-/// line splices between valid system texts, and numeric-field abuse
-/// (the boundary-value seeds above, mutated). The parser must reject
-/// or accept — never panic, and never hand back a `World` that fails
-/// its own validation (a parsed world is safe to *run* by contract).
+/// The §3 config parser as a fuzz entry point: config soup, line
+/// splices between valid system texts, and numeric-field abuse (the
+/// boundary-value seeds above, mutated). The parser must reject or
+/// accept — never panic.
 #[test]
 fn fuzz_config_language() {
     let iters: u64 = std::env::var("FUZZ_ITERS")
@@ -305,11 +295,7 @@ fn fuzz_config_language() {
         let payload = source.next_input();
         let text = String::from_utf8_lossy(&payload).into_owned();
         let guard = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Ok(config) = IndissConfig::from_system_sdp(&text) {
-                if let Some(world) = config.world {
-                    world.validate().expect("parsed worlds are pre-validated");
-                }
-            }
+            let _ = IndissConfig::from_system_sdp(&text);
         }));
         if let Err(panic) = guard {
             eprintln!("config fuzz crasher at iteration {i}: {text:?}");
@@ -475,23 +461,16 @@ mod corpus {
 
     /// Config-language inputs the fuzz walk is prone to producing:
     /// each must come back as a clean `Err`, never a panic. The
-    /// numeric-abuse lines pin the lexer's checked `u64` parse, the
-    /// `u32` narrowing in the `World` parser, and `validate()` as the
-    /// last line of defence for in-range-but-absurd values.
+    /// numeric-abuse lines pin the lexer's checked `u64` parse and the
+    /// narrowing of each numeric key to its field's range.
     #[test]
     fn config_numeric_field_abuse() {
         for text in [
             // Lexer-level overflow: too many digits for u64.
-            "System SDP = { World = { Seed = 99999999999999999999999999 }; }",
-            // Field-level overflow: fits u64, not u32.
-            "System SDP = { World = { Gateways = 4294967296 }; }",
-            "System SDP = { World = { TickMillis = 18446744073709551615 }; }",
-            // In-range but absurd: validate() must refuse to hand these
-            // to the engine.
-            "System SDP = { World = { Gateways = 63000 }; }",
-            "System SDP = { World = { SoakRecords = 18446744073709551615 }; }",
-            "System SDP = { World = { InjectPerTick = 1000000 }; }",
-            // A port that is also a World field width.
+            "System SDP = { Trace = { Capacity = 99999999999999999999999999 }; }",
+            // Field-level overflow: fits u64, not the field.
+            "System SDP = { Trace = { Capacity = 18446744073709551615 }; }",
+            "System SDP = { Trace = { StatsPort = 65536 }; }",
             "System SDP = { Peers = { 4294967295 } }",
         ] {
             assert!(
@@ -502,40 +481,37 @@ mod corpus {
     }
 
     /// Structural config soup: splices, truncations and repetitions of
-    /// valid blocks. Accept or reject — never panic, and any accepted
-    /// `World` is validated.
+    /// valid blocks. Accept or reject — never panic.
     #[test]
     fn config_soup_and_splices() {
         for text in [
-            // A World block truncated mid-key, mid-number, mid-block.
-            "System SDP = { World = { Ga",
-            "System SDP = { World = { Gateways = 4",
-            "System SDP = { World = { Fault = { DropPct = ",
-            // The Monitor block spliced into a World block.
-            "System SDP = { World = { ScanPort = { 1900; 427 } }; }",
-            // A World block where a unit should be.
-            "System SDP = { Component Unit World(port=1); }",
-            // Two World blocks: last one wins, no panic.
-            "System SDP = { World = { Seed = 1 }; World = { Seed = 2 }; \
+            // Blocks truncated mid-key, mid-number, mid-block.
+            "System SDP = { Trace = { Capa",
+            "System SDP = { Trace = { Capacity = 4",
+            "System SDP = { Peers = { 7100; ",
+            "System SDP = { Component Unit X(port=6400) = { Group = 239.",
+            // The Monitor block spliced into a Trace block.
+            "System SDP = { Trace = { ScanPort = { 1900; 427 } }; }",
+            // A block keyword where a unit should be.
+            "System SDP = { Component Unit Trace(port=1); }",
+            // Two Trace blocks: last one wins, no panic.
+            "System SDP = { Trace = { Capacity = 1 }; Trace = { Capacity = 2 }; \
              Component Unit SLP(port=427); }",
             // Unterminated string from a spliced descriptor.
             "System SDP = { Component Unit X(port=6400) = { Query = \"LP? {type}",
             // Deep brace nesting with no content.
-            "System SDP = { World = { { { { { } } } } }; }",
+            "System SDP = { Peers = { { { { { } } } } }; }",
+            "System SDP = { Component Unit X(port=6400) = { { { { } } } }; }",
         ] {
-            if let Ok(config) = IndissConfig::from_system_sdp(text) {
-                if let Some(world) = config.world {
-                    world.validate().expect("accepted worlds validate");
-                }
-            }
+            let _ = IndissConfig::from_system_sdp(text);
         }
-        // The two-World splice specifically: last block wins.
+        // The two-Trace splice specifically: last block wins.
         let config = IndissConfig::from_system_sdp(
-            "System SDP = { World = { Seed = 1 }; World = { Seed = 2 }; \
+            "System SDP = { Trace = { Capacity = 1 }; Trace = { Capacity = 2 }; \
              Component Unit SLP(port=427); }",
         )
-        .expect("repeated World blocks parse");
-        assert_eq!(config.world.expect("world kept").seed, 2);
+        .expect("repeated Trace blocks parse");
+        assert_eq!(config.trace_capacity, 2);
     }
 
     /// An SLP URL entry whose lifetime/URL-length fields lie about the

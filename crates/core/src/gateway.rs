@@ -160,7 +160,7 @@ impl GatewayCore {
 
     /// The gateway's span recorder (a disabled no-op unless the config
     /// asked for tracing). Request sources — the wire front-end, the
-    /// benches — clone this handle to stamp their own pipeline phases
+    /// benchmark — clone this handle to stamp their own pipeline phases
     /// onto the same rings.
     pub fn tracer(&self) -> Tracer {
         self.tracer.clone()

@@ -1,20 +1,19 @@
-//! Declarative hostile worlds: the `World = { … }` scenario layer.
+//! Declarative hostile worlds: the scenario layer.
 //!
 //! PR 7 gave the gateway point faults ([`indiss_net::FaultPlan`]) and
 //! PR 8 federation (the mesh plane); this module turns both into
 //! *data*. A world — node populations, per-lane fault rates, service
 //! churn, mobility scripts, soak length, and the assertions the run
-//! must satisfy — is declared inside the §3 `System SDP = { … }`
-//! config text and compiled by the scenario engine
-//! (`crates/bench/src/worlds.rs`) into a seeded deterministic run.
+//! must satisfy — is declared as a [`WorldSpec`] value and compiled by
+//! the scenario engine (`crates/bench/src/worlds.rs`) into a seeded
+//! deterministic run.
 //!
-//! Three contracts live here, shared between the config language, the
-//! fuzz harness and the bench engine:
+//! Three contracts live here, shared between the fuzz harness and the
+//! bench engine:
 //!
-//! - [`WorldSpec`] and its sub-blocks are the parsed form of the
-//!   `World` block, plus [`WorldSpec::validate`] — the range rules
-//!   that make numeric-field abuse from hostile config text safe by
-//!   construction (a parsed world is either rejected or cheap to run).
+//! - [`WorldSpec`] and its parts, plus [`WorldSpec::validate`] — the
+//!   range rules that keep absurd numbers out of the engine (a
+//!   validated world is cheap to run).
 //! - [`MemoryBudget`] / [`MemorySettlement`] capture the
 //!   bounded-memory discipline the `registry_churn` bench pioneered:
 //!   snapshot the interner before the storm, collect after, assert
@@ -60,8 +59,8 @@ impl ScenarioRng {
 }
 
 /// Per-lane fault rates for every gateway transport in a world, as
-/// integer percentages (the §3 config lexer has no floats). Compiled
-/// to a [`FaultPlan`] by [`WorldFault::plan`].
+/// integer percentages. Compiled to a [`FaultPlan`] by
+/// [`WorldFault::plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorldFault {
     /// Percent of datagrams silently discarded.
@@ -105,9 +104,9 @@ impl WorldFault {
 }
 
 /// A scheduled link cut: one gateway's ingress is severed for a
-/// half-open virtual-time window (`Cut = { Gateway = 1; FromSecs = 2;
-/// ToSecs = 5 }`). Compiled to a [`FaultPlan::time_partitions`] entry
-/// on that gateway's transport only.
+/// half-open virtual-time window. Compiled to a
+/// [`FaultPlan::time_partitions`] entry on that gateway's transport
+/// only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkCut {
     /// Index of the gateway whose ingress is cut (0-based).
@@ -127,10 +126,9 @@ impl LinkCut {
 }
 
 /// A mobility script entry: at `at_secs` a service stops advertising
-/// from `from_gateway` and re-originates at `to_gateway` (`Move = {
-/// Service = 7; From = 0; To = 2; AtSecs = 10 }`). The handover must
-/// converge to a single live record — the mesh's version vectors and
-/// the registry's re-advertising guard are what this exercises.
+/// from `from_gateway` and re-originates at `to_gateway`. The handover
+/// must converge to a single live record — the mesh's version vectors
+/// and the registry's re-advertising guard are what this exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MobilityMove {
     /// Index of the moving service (0-based, within the world's
@@ -162,9 +160,9 @@ pub struct WorldAsserts {
     pub max_tracker_entries: Option<u64>,
 }
 
-/// A parsed `World = { … }` block: the declarative shape of one
-/// hostile world. Defaults describe the smallest legal world (two
-/// quiet gateways, a handful of services, ten virtual seconds).
+/// The declarative shape of one hostile world. Defaults describe the
+/// smallest legal world (two quiet gateways, a handful of services, ten
+/// virtual seconds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorldSpec {
     /// Root seed; every draw in the run derives from it.
@@ -225,11 +223,8 @@ impl Default for WorldSpec {
 
 impl WorldSpec {
     /// Checks every numeric field against the ranges the engine is
-    /// sized for. This is the line that makes hostile config text safe
-    /// to *run*, not merely to parse: a fuzzer can splice any numbers
-    /// it likes into a `World` block, and the outcome is a
-    /// [`CoreError::BadConfig`] — never an unbounded allocation or a
-    /// runaway loop.
+    /// sized for: an absurd number is a [`CoreError::BadConfig`] —
+    /// never an unbounded allocation or a runaway loop.
     ///
     /// # Errors
     ///
@@ -242,21 +237,21 @@ impl WorldSpec {
                 Err(CoreError::BadConfig(why))
             }
         }
-        rule((2..=64).contains(&self.gateways), "World: Gateways must be 2..=64")?;
-        rule((1..=2_000_000).contains(&self.services), "World: Services must be 1..=2000000")?;
-        rule((1..=3600).contains(&self.duration_secs), "World: DurationSecs must be 1..=3600")?;
-        rule((1..=10_000).contains(&self.tick_millis), "World: TickMillis must be 1..=10000")?;
+        rule((2..=64).contains(&self.gateways), "World: gateways must be 2..=64")?;
+        rule((1..=2_000_000).contains(&self.services), "World: services must be 1..=2000000")?;
+        rule((1..=3600).contains(&self.duration_secs), "World: duration_secs must be 1..=3600")?;
+        rule((1..=10_000).contains(&self.tick_millis), "World: tick_millis must be 1..=10000")?;
         rule(
             self.churn_arrivals_per_tick <= 100_000,
-            "World: ChurnArrivalsPerTick must be <= 100000",
+            "World: churn_arrivals_per_tick must be <= 100000",
         )?;
         rule(
             self.churn_departures_per_tick <= 100_000,
-            "World: ChurnDeparturesPerTick must be <= 100000",
+            "World: churn_departures_per_tick must be <= 100000",
         )?;
         rule(
             (1..=86_400).contains(&self.advert_ttl_secs),
-            "World: AdvertTtlSecs must be 1..=86400",
+            "World: advert_ttl_secs must be 1..=86400",
         )?;
         for pct in [
             self.fault.drop_pct,
@@ -265,32 +260,32 @@ impl WorldSpec {
             self.fault.reorder_pct,
             self.fault.duplicate_pct,
         ] {
-            rule(pct <= 100, "World: Fault percentages must be <= 100")?;
+            rule(pct <= 100, "World: fault percentages must be <= 100")?;
         }
-        rule(self.cuts.len() <= 64, "World: at most 64 Cut blocks")?;
+        rule(self.cuts.len() <= 64, "World: at most 64 cuts")?;
         for cut in &self.cuts {
-            rule(cut.gateway < self.gateways, "World: Cut Gateway index out of range")?;
-            rule(cut.from_secs < cut.to_secs, "World: Cut window must have FromSecs < ToSecs")?;
+            rule(cut.gateway < self.gateways, "World: cut gateway index out of range")?;
+            rule(cut.from_secs < cut.to_secs, "World: cut window must have from_secs < to_secs")?;
             rule(
                 cut.to_secs <= self.duration_secs,
-                "World: Cut window must end within DurationSecs",
+                "World: cut window must end within duration_secs",
             )?;
         }
-        rule(self.moves.len() <= 256, "World: at most 256 Move blocks")?;
+        rule(self.moves.len() <= 256, "World: at most 256 moves")?;
         for mv in &self.moves {
-            rule(mv.service < self.services, "World: Move Service index out of range")?;
-            rule(mv.from_gateway < self.gateways, "World: Move From gateway out of range")?;
-            rule(mv.to_gateway < self.gateways, "World: Move To gateway out of range")?;
-            rule(mv.from_gateway != mv.to_gateway, "World: Move must change gateways")?;
+            rule(mv.service < self.services, "World: move service index out of range")?;
+            rule(mv.from_gateway < self.gateways, "World: move from_gateway out of range")?;
+            rule(mv.to_gateway < self.gateways, "World: move to_gateway out of range")?;
+            rule(mv.from_gateway != mv.to_gateway, "World: a move must change gateways")?;
             rule(
                 mv.at_secs <= self.duration_secs,
-                "World: Move AtSecs must be within DurationSecs",
+                "World: move at_secs must be within duration_secs",
             )?;
         }
-        rule(self.inject_per_tick <= 1000, "World: InjectPerTick must be <= 1000")?;
-        rule(self.soak_records <= 10_000_000, "World: SoakRecords must be <= 10000000")?;
+        rule(self.inject_per_tick <= 1000, "World: inject_per_tick must be <= 1000")?;
+        rule(self.soak_records <= 10_000_000, "World: soak_records must be <= 10000000")?;
         if let Some(pct) = self.asserts.min_delivery_pct {
-            rule(pct <= 100, "World: Assert MinDeliveryPct must be <= 100")?;
+            rule(pct <= 100, "World: asserts.min_delivery_pct must be <= 100")?;
         }
         Ok(())
     }
@@ -486,6 +481,7 @@ mod tests {
             ("duration zero", WorldSpec { duration_secs: 0, ..WorldSpec::default() }),
             ("duration huge", WorldSpec { duration_secs: 3601, ..WorldSpec::default() }),
             ("tick zero", WorldSpec { tick_millis: 0, ..WorldSpec::default() }),
+            ("tick huge", WorldSpec { tick_millis: u32::MAX, ..WorldSpec::default() }),
             (
                 "fault pct",
                 WorldSpec {

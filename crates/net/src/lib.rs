@@ -17,8 +17,7 @@
 //!   scoped multicast, and INDISS's *monitor component* detects protocols
 //!   purely from group/port activity.
 //! * **Observability**: a [`TrafficMeter`] (for the paper's bandwidth
-//!   arguments, §4.2) and an optional [`PacketTrace`] (used by tests to
-//!   assert exact message sequences, e.g. Fig. 4).
+//!   arguments, §4.2).
 //!
 //! ## Example
 //!
@@ -68,7 +67,6 @@ mod reactor;
 mod sys;
 mod tcp;
 mod time;
-mod trace;
 mod transport;
 mod udp;
 mod world;
@@ -83,7 +81,6 @@ pub use node::{Node, NodeId};
 pub use peer::PeerChannel;
 pub use tcp::{TcpListener, TcpListenerId, TcpStream, TcpStreamId};
 pub use time::SimTime;
-pub use trace::{PacketTrace, TraceEntry, TraceOutcome};
 pub use transport::{
     BindSpec, FaultStats, IoStats, SimTransport, Transport, TransportBatchSink, TransportKind,
     TransportSink, TransportSocket,

@@ -22,7 +22,6 @@ use crate::meter::{MeterRecord, MeterTransport, TrafficMeter};
 use crate::node::{Node, NodeId};
 use crate::tcp::{TcpListener, TcpListenerId, TcpStream, TcpStreamId};
 use crate::time::SimTime;
-use crate::trace::{PacketTrace, TraceEntry, TraceOutcome};
 use crate::udp::{Datagram, UdpSocket, UdpSocketId};
 
 /// First port handed out by [`Node::udp_bind_ephemeral`] and TCP connects.
@@ -44,8 +43,6 @@ pub struct WorldConfig {
     pub default_link: LinkConfig,
     /// Link used for same-node (loopback) traffic.
     pub loopback_link: LinkConfig,
-    /// Whether to record a packet trace from the start.
-    pub trace: bool,
 }
 
 impl WorldConfig {
@@ -55,7 +52,6 @@ impl WorldConfig {
             seed,
             default_link: LinkConfig::lan_10mbps(),
             loopback_link: LinkConfig::loopback(),
-            trace: false,
         }
     }
 }
@@ -154,7 +150,6 @@ struct WorldInner {
     link_overrides: HashMap<(NodeId, NodeId), LinkConfig>,
     rng: SmallRng,
     meter: TrafficMeter,
-    trace: Option<PacketTrace>,
 }
 
 impl WorldInner {
@@ -209,28 +204,6 @@ impl WorldInner {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Scheduled { at, seq, action });
-    }
-
-    fn trace_packet(
-        &mut self,
-        transport: MeterTransport,
-        src: SocketAddrV4,
-        dst: SocketAddrV4,
-        payload: &[u8],
-        outcome: TraceOutcome,
-    ) {
-        if let Some(trace) = &mut self.trace {
-            let snip = payload.len().min(PacketTrace::SNIPPET_LEN);
-            trace.push(TraceEntry {
-                at: self.now,
-                transport,
-                src,
-                dst,
-                len: payload.len(),
-                outcome,
-                snippet: payload[..snip].to_vec(),
-            });
-        }
     }
 
     fn meter_packet(
@@ -293,7 +266,6 @@ impl World {
                 link_overrides: HashMap::new(),
                 rng: SmallRng::seed_from_u64(config.seed),
                 meter: TrafficMeter::new(),
-                trace: if config.trace { Some(PacketTrace::new()) } else { None },
             })),
         }
     }
@@ -472,16 +444,6 @@ impl World {
         self.inner.borrow_mut().meter.reset();
     }
 
-    /// Starts (or restarts) packet tracing.
-    pub fn enable_trace(&self) {
-        self.inner.borrow_mut().trace = Some(PacketTrace::new());
-    }
-
-    /// Snapshot of the packet trace, if tracing is enabled.
-    pub fn trace_snapshot(&self) -> Option<PacketTrace> {
-        self.inner.borrow().trace.clone()
-    }
-
     // ------------------------------------------------------------------
     // Node plumbing (called by `Node` handles)
     // ------------------------------------------------------------------
@@ -618,10 +580,7 @@ impl World {
                 .map(|(sid, s)| (sid, s.node))
                 .collect();
 
-            let outcome =
-                if members.is_empty() { TraceOutcome::NoListener } else { TraceOutcome::Delivered };
             let now = inner.now;
-            inner.trace_packet(MeterTransport::Udp, src_addr, dst, payload, outcome);
             // One packet on the wire regardless of member count; meter it
             // once if it crosses the network at all.
             if members.iter().any(|(_, n)| *n != src_node) {
@@ -630,13 +589,6 @@ impl World {
             for (sid, member_node) in members {
                 let link = inner.link_for(src_node, member_node);
                 if link.sample_loss(&mut inner.rng) {
-                    inner.trace_packet(
-                        MeterTransport::Udp,
-                        src_addr,
-                        dst,
-                        payload,
-                        TraceOutcome::Lost,
-                    );
                     continue;
                 }
                 let delay = link.sample_delay(payload.len(), &mut inner.rng);
@@ -654,17 +606,9 @@ impl World {
 
         // Unicast.
         let Some(&dst_node) = inner.addr_to_node.get(dst.ip()) else {
-            inner.trace_packet(
-                MeterTransport::Udp,
-                src_addr,
-                dst,
-                payload,
-                TraceOutcome::NoListener,
-            );
             return Ok(()); // UDP is fire-and-forget: unreachable hosts drop silently.
         };
         if !inner.nodes[dst_node.index() as usize].up {
-            inner.trace_packet(MeterTransport::Udp, src_addr, dst, payload, TraceOutcome::NodeDown);
             return Ok(());
         }
         // All sockets on the destination port. With SO_REUSEADDR-style
@@ -682,22 +626,13 @@ impl World {
             .map(|(sid, _)| sid)
             .collect();
         if targets.is_empty() {
-            inner.trace_packet(
-                MeterTransport::Udp,
-                src_addr,
-                dst,
-                payload,
-                TraceOutcome::NoListener,
-            );
             return Ok(());
         }
         let link = inner.link_for(src_node, dst_node);
         if link.sample_loss(&mut inner.rng) {
-            inner.trace_packet(MeterTransport::Udp, src_addr, dst, payload, TraceOutcome::Lost);
             return Ok(());
         }
         let now = inner.now;
-        inner.trace_packet(MeterTransport::Udp, src_addr, dst, payload, TraceOutcome::Delivered);
         if dst_node != src_node {
             inner.meter_packet(MeterTransport::Udp, src_addr, dst, payload.len(), false, now);
         }
@@ -854,7 +789,6 @@ impl World {
         }
         let link = inner.link_for(src_node, peer_node);
         let now = inner.now;
-        inner.trace_packet(MeterTransport::Tcp, src_addr, dst_addr, bytes, TraceOutcome::Delivered);
         if peer_node != src_node {
             inner.meter_packet(MeterTransport::Tcp, src_addr, dst_addr, bytes.len(), false, now);
         }
@@ -1171,25 +1105,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_no_listener() {
-        let mut cfg = WorldConfig::with_seed(0);
-        cfg.trace = true;
-        let world = World::with_config(cfg);
-        let a = world.add_node("a");
-        let b = world.add_node("b");
-        let s = a.udp_bind(1000).unwrap();
-        s.send_to(b"x", SocketAddrV4::new(b.addr(), 9)).unwrap();
-        world.run_until_idle();
-        let trace = world.trace_snapshot().unwrap();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.entries()[0].outcome, TraceOutcome::NoListener);
-    }
-
-    #[test]
     fn lossy_link_drops_packets() {
         let mut cfg = WorldConfig::with_seed(0);
         cfg.default_link = LinkConfig::lan_10mbps().with_loss(1.0);
-        cfg.trace = true;
         let world = World::with_config(cfg);
         let a = world.add_node("a");
         let b = world.add_node("b");
@@ -1201,7 +1119,6 @@ mod tests {
         sa.send_to(b"x", SocketAddrV4::new(b.addr(), 1000)).unwrap();
         world.run_until_idle();
         assert!(!got.is_complete());
-        assert_eq!(world.trace_snapshot().unwrap().lost().count(), 1);
     }
 
     #[test]

@@ -380,20 +380,35 @@ mod tests {
 
     #[test]
     fn active_da_discovery() {
-        // A UA can find the DA by multicasting a directory-agent request.
+        // A client finds the DA by multicasting a directory-agent
+        // request; the DA answers it unicast with a DAAdvert.
         let (world, _da) = world_with_da();
         let client = world.add_node("client");
-        let ua = UserAgent::start(&client, SlpConfig::default()).unwrap();
-        // Deliberately query for the DA type; the DAAdvert reply is not a
-        // SrvRply so the discovery outcome stays empty, but we can observe
-        // the advert arrived by checking the trace.
-        world.enable_trace();
-        let (_, done) = ua.find_services(&world, "service:directory-agent", "");
+        let socket = client.udp_bind_ephemeral().unwrap();
+        let replies: indiss_net::Collector<Message> = indiss_net::Collector::new();
+        let sink = replies.clone();
+        socket.on_receive(move |_, dgram| {
+            if let Ok(msg) = Message::decode(&dgram.payload) {
+                sink.push(msg);
+            }
+        });
+        let probe = Message::new(
+            Header::new(FunctionId::SrvRqst, 9, DEFAULT_LANG),
+            Body::SrvRqst(SrvRqst {
+                prlist: String::new(),
+                service_type: "service:directory-agent".into(),
+                scopes: "DEFAULT".into(),
+                predicate: String::new(),
+                spi: String::new(),
+            }),
+        );
+        let group = SocketAddrV4::new(SLP_MULTICAST_GROUP, SLP_PORT);
+        socket.send_to(&probe.encode().unwrap(), group).unwrap();
         world.run_for(Duration::from_secs(1));
-        let _ = done.take();
-        let trace = world.trace_snapshot().unwrap();
-        let das_replies =
-            trace.entries().iter().filter(|e| e.dst.port() >= 40_000 && e.len > 20).count();
-        assert!(das_replies >= 1, "DA answered the active discovery probe");
+        let replies = replies.drain();
+        assert!(
+            replies.iter().any(|m| matches!(m.body, Body::DaAdvert(_))),
+            "DA answered the active discovery probe: {replies:?}"
+        );
     }
 }
