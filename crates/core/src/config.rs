@@ -28,8 +28,8 @@ use crate::event::SdpProtocol;
 use crate::mesh::MeshConfig;
 use crate::registry::RegistryConfig;
 use crate::units::{
-    DescriptorFactory, JiniFactory, JiniUnitConfig, SdpDescriptor, SlpFactory, SlpUnitConfig,
-    UnitFactory, UpnpFactory, UpnpUnitConfig,
+    DescriptorUnit, JiniUnit, JiniUnitConfig, SdpDescriptor, SlpUnit, SlpUnitConfig, Unit,
+    UnitContext, UnitFactory, UpnpUnit, UpnpUnitConfig,
 };
 
 /// Specification of one unit to embed.
@@ -66,17 +66,23 @@ impl UnitSpec {
         }
     }
 
-    /// The factory the runtime instantiates this spec through — the
-    /// single dispatch point that replaced the runtime's closed `match`
-    /// over unit kinds.
-    pub fn factory(&self) -> Rc<dyn UnitFactory> {
-        match self {
-            UnitSpec::Slp(cfg) => Rc::new(SlpFactory(cfg.clone())),
-            UnitSpec::Upnp(cfg) => Rc::new(UpnpFactory(cfg.clone())),
-            UnitSpec::Jini(cfg) => Rc::new(JiniFactory(cfg.clone())),
-            UnitSpec::Descriptor(d) => Rc::new(DescriptorFactory(d.clone())),
-            UnitSpec::Custom(f) => Rc::clone(f),
-        }
+    /// Builds (and wires) the unit this spec names — the single
+    /// dispatch point the runtime instantiates every unit through.
+    pub(crate) fn build(&self, ctx: &UnitContext) -> CoreResult<Rc<dyn Unit>> {
+        Ok(match self {
+            UnitSpec::Slp(cfg) => Rc::new(SlpUnit::new(ctx.node(), cfg.clone())?),
+            UnitSpec::Upnp(cfg) => {
+                let unit = UpnpUnit::new(ctx.node(), cfg.clone())?;
+                // Composed messages leave from fresh sockets; have each
+                // report to the monitor's loop filter.
+                let monitor = ctx.monitor().clone();
+                unit.set_loop_filter(Rc::new(move |addr| monitor.ignore_source(addr)));
+                Rc::new(unit)
+            }
+            UnitSpec::Jini(cfg) => Rc::new(JiniUnit::new(ctx.node(), cfg.clone())?),
+            UnitSpec::Descriptor(d) => Rc::new(DescriptorUnit::new(ctx.node(), d.clone())?),
+            UnitSpec::Custom(factory) => return factory.build(ctx),
+        })
     }
 }
 

@@ -484,6 +484,14 @@ impl EventStream {
         })
     }
 
+    /// First `ResTtl` payload, if any.
+    pub(crate) fn ttl(&self) -> Option<u32> {
+        self.events.iter().find_map(|e| match e {
+            Event::ResTtl(t) => Some(*t),
+            _ => None,
+        })
+    }
+
     /// All `ResAttr` pairs.
     pub fn response_attrs(&self) -> Vec<(&str, &str)> {
         self.response_attr_iter().collect()

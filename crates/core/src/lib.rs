@@ -13,6 +13,7 @@
 //! * [`SlpUnit`] / [`UpnpUnit`] / [`JiniUnit`] — parser+composer pairs
 //!   that translate whole discovery *processes*, including the UPnP
 //!   unit's recursive description fetch with parser switching (§2.4);
+//!   each process is a sans-I/O state machine the runtime drives;
 //! * the **open protocol API** (§3): the set of SDPs is not closed over
 //!   the three built-ins. A [`ProtocolId`] registers any protocol's
 //!   detection tag (port + multicast groups) process-wide and flows
@@ -20,8 +21,9 @@
 //!   [`SdpProtocol::Dynamic`]; an [`SdpDescriptor`] defines a whole
 //!   line-oriented SDP as data (parser table + composer templates) that
 //!   [`DescriptorUnit`] interprets; the runtime instantiates *all* units
-//!   through the object-safe [`UnitFactory`] registry, so custom units
-//!   plug in without touching the runtime; and
+//!   through [`UnitSpec`], whose custom arm takes any object-safe
+//!   [`UnitFactory`], so custom units plug in without touching the
+//!   runtime; and
 //!   [`IndissConfig::from_system_sdp`] parses the paper's own textual
 //!   `System SDP = { … }` composition language — §3's example verbatim,
 //!   plus descriptor blocks for brand-new protocols;
@@ -143,14 +145,14 @@ pub use registry::{
     AdvertDisposition, PeerId, Projection, RecordOrigin, RegistryConfig, RegistryStats,
     RemoteDisposition, ServiceRecord, ServiceRegistry, SweepReport,
 };
-pub use runtime::{BridgeHandle, Indiss};
+pub use runtime::Indiss;
 pub use scenario::{
     LinkCut, MemoryBudget, MemorySettlement, MobilityMove, MutationSource, ScenarioRng,
     WorldAsserts, WorldFault, WorldSpec,
 };
 pub use symbol::Symbol;
 pub use units::{
-    parse_slp_request, BridgeRequestFn, DescriptorClient, DescriptorService, DescriptorUnit,
-    JiniUnit, JiniUnitConfig, ParsedMessage, SdpDescriptor, SdpDescriptorBuilder, SlpUnit,
-    SlpUnitConfig, Unit, UnitContext, UnitFactory, UpnpUnit, UpnpUnitConfig,
+    parse_slp_request, DescriptorClient, DescriptorService, DescriptorUnit, JiniUnit,
+    JiniUnitConfig, ParsedMessage, SdpDescriptor, SdpDescriptorBuilder, SlpUnit, SlpUnitConfig,
+    Unit, UnitContext, UnitFactory, UpnpUnit, UpnpUnitConfig,
 };

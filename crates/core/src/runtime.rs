@@ -6,7 +6,7 @@
 //!
 //! 1. the monitor detects SDPs and hands raw messages to the right unit's
 //!    parser;
-//! 2. request event streams are bridged: every *other* unit executes its
+//! 2. request event streams are bridged: every *other* unit runs its
 //!    native query process, the first successful response-event stream
 //!    wins and the origin unit composes the native reply;
 //! 3. advertisement streams are recorded in the [`ServiceRegistry`] (and
@@ -19,24 +19,74 @@
 //! suppression window and the units' bridge projections — lives in the
 //! shared [`ServiceRegistry`]; the runtime drives its TTL sweeps from
 //! virtual-time timers so expiry stays deterministic.
+//!
+//! The runtime is also the one driver of the units' sans-I/O processes
+//! (a foreign request's native query, an advert's enrichment) and of the
+//! per-query [`QueryTracker`]: it routes datagrams, timer firings and
+//! fetched documents into their steps and performs the effects those
+//! emit on the simulated world, in the order emitted.
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use indiss_net::{Completion, Datagram, Node, SimTime, Transport, World};
+use indiss_net::{Datagram, Node, SimTime, Transport, UdpSocket, World};
 
 use crate::adapt::DiscoveryMode;
 use crate::config::{IndissConfig, UnitSpec};
 use crate::error::{CoreError, CoreResult};
-use crate::event::{Event, EventStream, SdpProtocol};
+use crate::event::{EventStream, SdpProtocol};
 use crate::gateway::{BridgeStats, GatewayCore, WarmDecision};
 use crate::mesh::MeshNode;
 use crate::monitor::Monitor;
 use crate::obs::{Phase, SimClock, Tracer};
 use crate::registry::{AdvertDisposition, ServiceRegistry};
-use crate::units::{ParsedMessage, Unit, UnitContext};
+use crate::tracker::{Deadline, QueryTracker};
+use crate::units::{
+    error_stream, Effect, NoProcesses, ParsedMessage, Processes, Sock, Unit, UnitContext,
+};
+
+/// Whose an in-flight unit process is.
+enum Owner {
+    /// A foreign unit's native query for bridged request `query`, fanned
+    /// out in attempt `attempt`.
+    Query { query: u64, attempt: u32 },
+    /// An advert's enrichment, to be composed into these units.
+    Enrich(Vec<Rc<dyn Unit>>),
+}
+
+/// One bridged request in flight.
+struct Query {
+    tracker: QueryTracker,
+    origin: SdpProtocol,
+    request: EventStream,
+    /// The foreign units every attempt fans out to, in order.
+    units: Rc<[Rc<dyn Unit>]>,
+}
+
+/// The driver's state: every process this runtime performs effects for.
+#[derive(Default)]
+struct Driver {
+    next_id: u64,
+    queries: HashMap<u64, Query>,
+    owners: HashMap<u64, Owner>,
+    /// Session sockets, by the process that opened them.
+    sessions: HashMap<u64, UdpSocket>,
+    /// The one effect scratch, lent to whichever step runs.
+    fx: Vec<Effect>,
+}
+
+impl Driver {
+    /// Names a new process (or bridged request) owned by `owner`.
+    fn start(&mut self, owner: Option<Owner>) -> u64 {
+        self.next_id += 1;
+        if let Some(owner) = owner {
+            self.owners.insert(self.next_id, owner);
+        }
+        self.next_id
+    }
+}
 
 struct IndissInner {
     node: Node,
@@ -58,6 +108,7 @@ struct IndissInner {
     mesh: Option<MeshNode>,
     /// Virtual time the next mesh tick is armed for, if any.
     mesh_tick_armed: Option<SimTime>,
+    driver: Driver,
 }
 
 /// A deployed INDISS instance.
@@ -76,49 +127,6 @@ struct IndissInner {
 pub struct Indiss {
     inner: Arc<Mutex<IndissInner>>,
     monitor: Monitor,
-}
-
-/// A weak re-entry handle into a deployed runtime's bridge, handed to
-/// [`crate::UnitFactory`] builds via [`UnitContext`]: units with their
-/// own listening endpoints (the Jini registrar, custom units) use it to
-/// feed parsed streams back into the request/advert paths.
-///
-/// Weak by design — a unit holding its runtime's bridge handle must not
-/// keep the runtime alive; once the instance is dropped the handle's
-/// methods become no-ops.
-#[derive(Clone)]
-pub struct BridgeHandle {
-    inner: Weak<Mutex<IndissInner>>,
-    monitor: Monitor,
-}
-
-impl BridgeHandle {
-    fn upgrade(&self) -> Option<Indiss> {
-        self.inner.upgrade().map(|inner| Indiss { inner, monitor: self.monitor.clone() })
-    }
-
-    /// Bridges a request stream that arrived at a unit's own endpoint.
-    /// When `reply` is given the response events are handed back on it
-    /// instead of being composed by the origin unit.
-    pub fn bridge_request(
-        &self,
-        world: &World,
-        origin: SdpProtocol,
-        request: EventStream,
-        reply: Option<Completion<EventStream>>,
-    ) {
-        if let Some(instance) = self.upgrade() {
-            instance.bridge_request(world, origin, request, reply);
-        }
-    }
-
-    /// Records an advertisement stream that arrived at a unit's own
-    /// endpoint (and re-advertises it in the active mode).
-    pub fn record_advert(&self, world: &World, origin: SdpProtocol, advert: EventStream) {
-        if let Some(instance) = self.upgrade() {
-            instance.record_advert(world, origin, advert);
-        }
-    }
 }
 
 impl Indiss {
@@ -208,9 +216,9 @@ impl Indiss {
         // `IndissInner` is deliberately not `Send`: it holds the
         // simulation `Node` and `Rc<dyn Unit>`s bound to the
         // single-threaded virtual-time world. The handle is still
-        // `Arc<Mutex<…>>` so the runtime shape (and `BridgeHandle`'s
-        // `Weak`) matches the threaded architecture it shares state
-        // with; the `Send + Sync` surface proper is the registry,
+        // `Arc<Mutex<…>>` so the runtime shape matches the threaded
+        // architecture it shares state with; the `Send + Sync` surface
+        // proper is the registry,
         // counters and gateway (see `tests/sharding.rs`).
         #[allow(clippy::arc_with_non_send_sync)]
         let instance = Indiss {
@@ -224,6 +232,7 @@ impl Indiss {
                 sweep_armed: None,
                 mesh: None,
                 mesh_tick_armed: None,
+                driver: Driver::default(),
             })),
             monitor: monitor.clone(),
         };
@@ -338,7 +347,7 @@ impl Indiss {
         }
     }
 
-    /// Instantiates one unit through its [`crate::UnitFactory`] — the
+    /// Instantiates one unit through its [`UnitSpec`] — the
     /// runtime has no knowledge of unit kinds, so the protocol set stays
     /// open (built-ins, descriptor-driven units and custom factories all
     /// take the same path).
@@ -349,16 +358,16 @@ impl Indiss {
                 node: inner.node.clone(),
                 registry: inner.core.registry(),
                 monitor: self.monitor.clone(),
-                bridge: BridgeHandle {
-                    inner: Arc::downgrade(&self.inner),
-                    monitor: self.monitor.clone(),
-                },
             }
         };
-        let unit = spec.factory().build(&ctx)?;
+        let unit = spec.build(&ctx)?;
         unit.bind_registry(&ctx.registry);
-        for addr in unit.own_sources() {
-            self.monitor.ignore_source(addr);
+        if let Some(socket) = unit.socket() {
+            if let Ok(addr) = socket.local_addr() {
+                self.monitor.ignore_source(addr);
+            }
+            let (this, unit) = (self.clone(), Rc::clone(&unit));
+            socket.on_receive(move |w, dgram| this.unit_datagram(w, &unit, Sock::Unit, &dgram));
         }
         self.inner().units.insert(spec.protocol(), unit);
         Ok(())
@@ -385,14 +394,17 @@ impl Indiss {
             let now = world.now();
             core.tracer.record_at(0, Phase::Parse, now, now);
         }
+        self.dispatch(world, protocol, parsed);
+    }
+
+    /// Bridges a parsed request, records an advert, or warms the cache
+    /// from an overheard response.
+    fn dispatch(&self, world: &World, protocol: SdpProtocol, parsed: ParsedMessage) {
         match parsed {
-            ParsedMessage::Request(stream) => {
-                self.bridge_request(world, protocol, stream, None);
-            }
-            ParsedMessage::Advert(stream) => {
-                self.record_advert(world, protocol, stream);
-            }
+            ParsedMessage::Request(stream) => self.bridge_request(world, protocol, stream),
+            ParsedMessage::Advert(stream) => self.record_advert(world, protocol, stream),
             ParsedMessage::Response(stream) => {
+                let core = self.inner().core.clone();
                 if core.ingest_response(&stream, world.now()) {
                     self.schedule_sweep(world);
                 }
@@ -405,115 +417,245 @@ impl Indiss {
     /// then fan out to all other units; the first successful response
     /// wins. The cache/negative/suppression decision is
     /// [`GatewayCore::classify`] — the same body the multi-threaded
-    /// gateway runs on its workers. When `custom_reply` is given (Jini
-    /// registrar path), the response events are handed back instead of
-    /// composed by the origin unit.
-    fn bridge_request(
-        &self,
-        world: &World,
-        origin: SdpProtocol,
-        request: EventStream,
-        custom_reply: Option<Completion<EventStream>>,
-    ) {
-        let now = world.now();
-        let (core, units, query_timeout, query_retries) = {
+    /// gateway runs on its workers.
+    fn bridge_request(&self, world: &World, origin: SdpProtocol, request: EventStream) {
+        let units = self.foreign_units(origin);
+        let (core, timeout, retries) = {
             let inner = self.inner();
-            let units: Vec<(SdpProtocol, Rc<dyn Unit>)> = inner
-                .units
-                .iter()
-                .filter(|(p, _)| **p != origin)
-                .map(|(p, u)| (*p, Rc::clone(u)))
-                .collect();
-            (inner.core.clone(), units, inner.config.query_timeout, inner.config.query_retries)
+            (inner.core.clone(), inner.config.query_timeout, inner.config.query_retries)
         };
-
-        let decision = core.classify(origin, &request, now);
+        let decision = core.classify(origin, &request, world.now());
         if let WarmDecision::CacheHit(response) = decision {
-            self.deliver(world, origin, &request, &response, custom_reply);
+            self.deliver(world, origin, &request, &response);
             return;
         }
         if decision != WarmDecision::Bridge || units.is_empty() {
-            // "Nothing found" is silence on the multicast protocols, but
-            // a custom replier (the Jini registrar path) must still be
-            // answered so its client is not left hanging — whichever
-            // short-circuit fired.
-            if let Some(reply) = custom_reply {
-                reply.complete(EventStream::framed(vec![
-                    Event::NetType(origin),
-                    Event::ServiceResponse,
-                    Event::ResErr(404),
-                ]));
+            // "Nothing found" is silence on the multicast protocols; a
+            // unit whose client waits for an answer (the Jini registrar
+            // path) composes an empty one — whichever short-circuit
+            // fired.
+            if let Some(unit) = self.unit(origin) {
+                unit.compose_response(world, &request, &error_stream(origin, 404));
             }
             return;
         }
-
-        // The winner: first response stream carrying a service URL. The
-        // fan-out itself — with its per-attempt deadline, bounded
-        // retries and graceful degradation — is the QueryTracker's
-        // state machine; this subscriber is the query's single exit.
-        let winner: Completion<EventStream> = Completion::new();
-        let tracker = crate::tracker::QueryTracker::new(
-            core.clone(),
-            origin,
-            request.clone(),
-            units,
-            winner.clone(),
-            query_timeout,
-            query_retries,
-        );
-        tracker.start(world);
-
-        let this = self.clone();
-        let world2 = world.clone();
+        // The fan-out — with its per-attempt deadline, bounded retries
+        // and graceful degradation — is the QueryTracker's state machine;
+        // `answer` is the query's single exit.
         let stype = request.service_type_symbol();
-        winner.subscribe(move |response| {
-            if core.enable_cache {
-                if response.service_url().is_some() {
-                    if let Some(t) = response.service_type_symbol().or(stype.clone()) {
-                        core.registry.warm(t, response.clone(), world2.now());
-                        this.schedule_sweep(&world2);
-                    }
-                } else if let Some(t) = stype.clone() {
-                    // Every unit came back empty: remember the miss so a
-                    // request storm for this absent type stops fanning
-                    // out (short TTL; adverts invalidate eagerly).
-                    core.registry.warm_negative(origin, t, world2.now());
-                    this.schedule_sweep(&world2);
-                }
-            }
-            this.deliver(&world2, origin, &request, &response, custom_reply);
-        });
+        let tracker = QueryTracker::new(origin, stype, units.len(), timeout, retries);
+        let query = Query { tracker, origin, request, units: units.into() };
+        let id = {
+            let driver = &mut self.inner().driver;
+            let id = driver.start(None);
+            driver.queries.insert(id, query);
+            id
+        };
+        self.fan_out(world, id, 0);
     }
 
-    /// Delivers a response stream to the requester, via the origin unit's
-    /// composer or the custom reply channel.
-    fn deliver(
-        &self,
-        world: &World,
-        origin: SdpProtocol,
-        request: &EventStream,
-        response: &EventStream,
-        custom_reply: Option<Completion<EventStream>>,
-    ) {
-        let tracer = {
-            let inner = self.inner();
+    fn unit(&self, protocol: SdpProtocol) -> Option<Rc<dyn Unit>> {
+        self.inner().units.get(&protocol).cloned()
+    }
+
+    /// Every unit but `origin`'s.
+    fn foreign_units(&self, origin: SdpProtocol) -> Vec<Rc<dyn Unit>> {
+        let inner = self.inner();
+        inner.units.iter().filter(|(p, _)| **p != origin).map(|(_, u)| Rc::clone(u)).collect()
+    }
+
+    /// Attempt `index` of bridged request `query`: every foreign unit
+    /// starts its native query process, then the attempt's deadline is
+    /// armed.
+    fn fan_out(&self, world: &World, query: u64, index: u32) {
+        let Some((request, units, deadline)) = ({
+            let mut inner = self.inner();
+            inner
+                .driver
+                .queries
+                .get_mut(&query)
+                .map(|q| (q.request.clone(), Rc::clone(&q.units), q.tracker.attempt(index)))
+        }) else {
+            return;
+        };
+        for unit in units.iter() {
+            let owner = Owner::Query { query, attempt: index };
+            let id = self.inner().driver.start(Some(owner));
+            self.drive(world, unit, |u, fx| u.start_query(id, &request, fx));
+        }
+        let this = self.clone();
+        world.schedule_in(deadline, move |w| this.query_deadline(w, query, index));
+    }
+
+    /// Attempt `index`'s deadline fired: the tracker retries or degrades
+    /// (answered queries have left the table already).
+    fn query_deadline(&self, world: &World, query: u64, index: u32) {
+        let Some((mut q, core)) = ({
+            let mut inner = self.inner();
+            let q = inner.driver.queries.remove(&query);
+            q.map(|q| (q, inner.core.clone()))
+        }) else {
+            return;
+        };
+        match q.tracker.deadline(index, &core, world.now()) {
+            Deadline::Retry(next) => {
+                self.inner().driver.queries.insert(query, q);
+                self.fan_out(world, query, next);
+            }
+            Deadline::Answer(response) => self.answer(world, q, response),
+            Deadline::Idle => {}
+        }
+    }
+
+    /// A bridged request's answer: remember it (or the miss) and deliver.
+    fn answer(&self, world: &World, query: Query, response: EventStream) {
+        let core = self.inner().core.clone();
+        let stype = query.request.service_type_symbol();
+        if core.enable_cache {
             if response.service_url().is_some() {
+                if let Some(t) = response.service_type_symbol().or(stype) {
+                    core.registry.warm(t, response.clone(), world.now());
+                    self.schedule_sweep(world);
+                }
+            } else if let Some(t) = stype {
+                // Every unit came back empty: remember the miss so a
+                // request storm for this absent type stops fanning out
+                // (short TTL; adverts invalidate eagerly).
+                core.registry.warm_negative(query.origin, t, world.now());
+                self.schedule_sweep(world);
+            }
+        }
+        self.deliver(world, query.origin, &query.request, &response);
+    }
+
+    /// Delivers a response stream to the requester via the origin unit's
+    /// composer.
+    fn deliver(&self, world: &World, origin: SdpProtocol, req: &EventStream, resp: &EventStream) {
+        let (tracer, unit) = {
+            let inner = self.inner();
+            if resp.service_url().is_some() {
                 inner.core.counters.responses_composed.fetch_add(1, Ordering::Relaxed);
             }
-            inner.core.tracer()
+            (inner.core.tracer(), inner.units.get(&origin).cloned())
         };
         if tracer.enabled() {
             let now = world.now();
             tracer.record_at(0, Phase::Deliver, now, now);
         }
-        match custom_reply {
-            Some(reply) => reply.complete(response.clone()),
-            None => {
-                let unit = self.inner().units.get(&origin).cloned();
-                if let Some(unit) = unit {
-                    unit.compose_response(world, request, response);
+        if let Some(unit) = unit {
+            unit.compose_response(world, req, resp);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The unit-process driver
+    // ------------------------------------------------------------------
+
+    /// Lends the effect scratch to one step of `unit`'s processes, then
+    /// performs what the step emitted, in order. A step reached while
+    /// the scratch is out (a fetch that fails at once) gets a fresh one.
+    fn drive(
+        &self,
+        world: &World,
+        unit: &Rc<dyn Unit>,
+        step: impl FnOnce(&mut dyn Processes, &mut Vec<Effect>),
+    ) {
+        let mut fx = std::mem::take(&mut self.inner().driver.fx);
+        match unit.processes() {
+            Some(mut processes) => step(&mut *processes, &mut fx),
+            None => step(&mut NoProcesses(unit.protocol()), &mut fx),
+        }
+        for effect in fx.drain(..) {
+            self.perform(world, unit, effect);
+        }
+        self.inner().driver.fx = fx;
+    }
+
+    fn perform(&self, world: &World, unit: &Rc<dyn Unit>, effect: Effect) {
+        match effect {
+            Effect::Open(id) => {
+                let node = self.inner().node.clone();
+                let Ok(socket) = node.udp_bind_ephemeral() else {
+                    return; // the process's deadline fails the query
+                };
+                if let Ok(addr) = socket.local_addr() {
+                    self.monitor.ignore_source(addr);
+                }
+                let (this, unit) = (self.clone(), Rc::clone(unit));
+                socket.on_receive(move |w, d| this.unit_datagram(w, &unit, Sock::Session(id), &d));
+                self.inner().driver.sessions.insert(id, socket);
+            }
+            Effect::Send { from, to, bytes, delay } => {
+                let socket = match from {
+                    Sock::Unit => unit.socket(),
+                    Sock::Session(id) => self.inner().driver.sessions.get(&id).cloned(),
+                };
+                let Some(socket) = socket else { return };
+                if delay.is_zero() {
+                    let _ = socket.send_to(&bytes, to);
+                } else {
+                    world.schedule_in(delay, move |_| {
+                        let _ = socket.send_to(&bytes, to);
+                    });
                 }
             }
+            Effect::Arm { timer, delay } => {
+                let (this, unit) = (self.clone(), Rc::clone(unit));
+                world.schedule_in(delay, move |w| {
+                    this.drive(w, &unit, |u, fx| u.on_timer(timer, fx))
+                });
+            }
+            Effect::Fetch { id, url } => {
+                // The simulated HTTP client answers on a `Completion`: the
+                // one place the cold path adapts one.
+                let node = self.inner().node.clone();
+                let (this, unit, world) = (self.clone(), Rc::clone(unit), world.clone());
+                indiss_upnp::http_get(&node, &url).subscribe(move |response| {
+                    let document = response.filter(|r| r.is_success()).map(|r| r.body);
+                    this.drive(&world, &unit, |u, fx| u.on_fetched(id, document, fx));
+                });
+            }
+            Effect::Close(id) => {
+                let socket = self.inner().driver.sessions.remove(&id);
+                socket.inspect(UdpSocket::close);
+            }
+            Effect::Complete { id, response } => self.completed(world, id, response),
+        }
+    }
+
+    /// A datagram at one of `unit`'s process sockets. What the processes
+    /// do not consume (the Jini registrar's lookups and registrations)
+    /// is bridged or recorded like a monitor-parsed message.
+    fn unit_datagram(&self, world: &World, unit: &Rc<dyn Unit>, from: Sock, dgram: &Datagram) {
+        let mut parsed = ParsedMessage::NotRelevant;
+        self.drive(world, unit, |u, fx| parsed = u.on_datagram(from, dgram, fx));
+        self.dispatch(world, unit.protocol(), parsed);
+    }
+
+    /// Process `id` completed: a query's unit reports to its tracker, an
+    /// enrichment composes its advert into the other units.
+    fn completed(&self, world: &World, id: u64, response: EventStream) {
+        let owner = self.inner().driver.owners.remove(&id);
+        match owner {
+            Some(Owner::Query { query, attempt }) => {
+                let answered = {
+                    let mut inner = self.inner();
+                    let queries = &mut inner.driver.queries;
+                    let answer = queries
+                        .get_mut(&query)
+                        .and_then(|q| q.tracker.unit_completed(attempt, response));
+                    answer.and_then(|answer| Some((queries.remove(&query)?, answer)))
+                };
+                if let Some((query, answer)) = answered {
+                    self.answer(world, query, answer);
+                }
+            }
+            Some(Owner::Enrich(units)) => {
+                for unit in units {
+                    unit.compose_advert(world, &response);
+                }
+            }
+            None => {}
         }
     }
 
@@ -550,33 +692,19 @@ impl Indiss {
     /// the origin unit first (a UPnP advert must have its description
     /// fetched before it carries an endpoint).
     fn translate_advert(&self, world: &World, origin: SdpProtocol, stream: &EventStream) {
-        let (origin_unit, units) = {
-            let inner = self.inner();
-            (
-                inner.units.get(&origin).cloned(),
-                inner
-                    .units
-                    .iter()
-                    .filter(|(p, _)| **p != origin)
-                    .map(|(_, u)| Rc::clone(u))
-                    .collect::<Vec<_>>(),
-            )
-        };
+        let units = self.foreign_units(origin);
         if units.is_empty() {
             return;
         }
         self.inner().core.counters.adverts_translated.fetch_add(1, Ordering::Relaxed);
-        let enriched: Completion<EventStream> = Completion::new();
-        match origin_unit {
-            Some(u) => u.enrich_advert(world, stream, enriched.clone()),
-            None => enriched.complete(stream.clone()),
-        }
-        let world2 = world.clone();
-        enriched.subscribe(move |advert| {
+        let Some(origin_unit) = self.unit(origin) else {
             for unit in units {
-                unit.compose_advert(&world2, &advert);
+                unit.compose_advert(world, stream);
             }
-        });
+            return;
+        };
+        let id = self.inner().driver.start(Some(Owner::Enrich(units)));
+        self.drive(world, &origin_unit, |u, fx| u.start_enrich(id, stream, fx));
     }
 
     // ------------------------------------------------------------------
@@ -832,7 +960,7 @@ mod tests {
     /// A Jini client whose lookup cannot be bridged (no foreign units
     /// configured) still gets an answer — an empty reply, not a hang:
     /// every bridge short-circuit (cache-negative, suppressed, no units)
-    /// completes the custom reply channel.
+    /// hands the origin unit a 404 to compose.
     #[test]
     fn jini_lookup_with_no_foreign_units_gets_an_empty_reply() {
         let world = World::new(82);
@@ -1041,7 +1169,15 @@ mod tests {
 
     /// A unit whose native query process never answers — the simulated
     /// stand-in for a hostile network that eats every query or reply.
-    struct SilentUnit;
+    struct SilentUnit(std::cell::RefCell<Swallow>);
+
+    struct Swallow;
+
+    impl Processes for Swallow {
+        fn start_query(&mut self, _id: u64, _request: &EventStream, _fx: &mut Vec<Effect>) {
+            // The process never completes, exactly like a lost datagram.
+        }
+    }
 
     impl Unit for SilentUnit {
         fn protocol(&self) -> SdpProtocol {
@@ -1050,20 +1186,11 @@ mod tests {
         fn parse(&self, _world: &World, _dgram: &Datagram) -> ParsedMessage {
             ParsedMessage::NotRelevant
         }
-        fn execute_query(
-            &self,
-            _world: &World,
-            _request: &EventStream,
-            _reply: Completion<EventStream>,
-        ) {
-            // Swallow the query; the reply completion is dropped
-            // uncompleted, exactly like a lost datagram.
+        fn processes(&self) -> Option<std::cell::RefMut<'_, dyn Processes>> {
+            Some(self.0.borrow_mut())
         }
         fn compose_response(&self, _world: &World, _request: &EventStream, _resp: &EventStream) {}
         fn compose_advert(&self, _world: &World, _advert: &EventStream) {}
-        fn own_sources(&self) -> Vec<std::net::SocketAddrV4> {
-            Vec::new()
-        }
     }
 
     struct SilentFactory;
@@ -1073,7 +1200,7 @@ mod tests {
             SdpProtocol::Upnp
         }
         fn build(&self, _ctx: &crate::units::UnitContext) -> CoreResult<Rc<dyn Unit>> {
-            Ok(Rc::new(SilentUnit))
+            Ok(Rc::new(SilentUnit(std::cell::RefCell::new(Swallow))))
         }
     }
 
@@ -1115,6 +1242,36 @@ mod tests {
         assert!(indiss.registry().stats().negative_stored >= 1, "negative memory armed");
     }
 
+    /// The deadline layering `tracker.rs` states: a foreign responder
+    /// that stays mute ends the fan-out as a definitive negative at the
+    /// descriptor unit's own window (20 ms + 5), long before the
+    /// tracker's first 500 ms deadline — so nothing is retried or
+    /// exhausted.
+    #[test]
+    fn muted_responder_is_a_definitive_negative_at_the_unit_window() {
+        let dns_sd = crate::SdpDescriptor::dns_sd();
+        let world = World::new(92);
+        let gw = world.add_node("gateway");
+        let responder = world.add_node("dnssd-service");
+        let config = IndissConfig::builder().slp().descriptor(dns_sd.clone()).build();
+        let indiss = Indiss::deploy(&gw, config).unwrap();
+        let ua = UserAgent::start(&world.add_node("slp-client"), SlpConfig::default()).unwrap();
+        // The service holds the type but is mute: it never announces it
+        // and never answers a query for it.
+        responder.set_up(false);
+        crate::DescriptorService::start(&responder, dns_sd).unwrap().register("printer", "ipp://p");
+
+        let (_first, done) = ua.find_services(&world, "service:printer", "");
+        assert!(world.run_until_condition(|| indiss.stats().requests_bridged == 1));
+        let bridged_at = world.now();
+        assert!(world.run_until_condition(|| indiss.registry().negative_len() == 1));
+        assert_eq!(world.now() - bridged_at, Duration::from_millis(25), "the descriptor window");
+        world.run_for(Duration::from_secs(3));
+        assert!(done.take().expect("round finished").urls.is_empty());
+        let stats = indiss.stats();
+        assert_eq!((stats.queries_retried, stats.queries_exhausted), (0, 0), "{stats:?}");
+    }
+
     /// Graceful degradation with stale knowledge: when retries exhaust
     /// but an expired registry record for the type survives, the query
     /// is answered from it — and the answer re-warms the cache so the
@@ -1133,10 +1290,10 @@ mod tests {
         indiss.registry().record_advert(
             SdpProtocol::Upnp,
             &EventStream::framed(vec![
-                Event::ServiceAlive,
-                Event::ServiceType("clock".into()),
-                Event::ResServUrl("soap://10.0.0.2:4004/service/timer/control".into()),
-                Event::ResTtl(1),
+                crate::Event::ServiceAlive,
+                crate::Event::ServiceType("clock".into()),
+                crate::Event::ResServUrl("soap://10.0.0.2:4004/service/timer/control".into()),
+                crate::Event::ResTtl(1),
             ]),
             world.now(),
         );

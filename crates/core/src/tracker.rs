@@ -5,8 +5,7 @@
 //! to be fire-and-forget: the runtime fanned the query out to every
 //! foreign unit once and hoped a reply came back. Under loss (a
 //! [`indiss_net::FaultTransport`], a congested LAN), a single dropped
-//! native query or reply left the requester hanging forever — and a
-//! custom replier (the Jini registrar path) never answered its client.
+//! native query or reply left the requester hanging forever.
 //!
 //! [`QueryTracker`] replaces that with a small deterministic state
 //! machine per query:
@@ -26,137 +25,143 @@
 //!   [`crate::BridgeStats::stale_served`]), a negative `408` reply
 //!   otherwise — either way the requester is answered.
 //!
-//! Determinism: everything here is virtual-time scheduling plus pure
-//! arithmetic. The backoff jitter hashes the canonical type and the
+//! Determinism: everything here is pure arithmetic over the steps the
+//! driver feeds in. The backoff jitter hashes the canonical type and the
 //! attempt index (no RNG, no wall clock), so a seeded simulation —
-//! including one behind a fault-injecting transport — replays the
-//! exact retry schedule.
+//! including one behind a fault-injecting transport — replays the exact
+//! retry schedule.
 //!
-//! Lock-order rule: the tracker holds **no** lock of its own and never
-//! calls back into the runtime's `IndissInner` mutex; it captures the
-//! cheap handles it needs (the [`GatewayCore`], unit `Rc`s) at
-//! construction, so deadline callbacks can run from the world's event
-//! loop regardless of what the runtime is doing.
+//! [`QueryTracker`] is a plain value, like the unit processes it
+//! arbitrates: no `Rc`, no `World`, no lock. The runtime's driver owns
+//! it and feeds it three steps — start an attempt, a unit's process
+//! completed, a deadline fired — and performs what they decide.
+//!
+//! Deadline layering: every built-in unit completes its own process
+//! before the tracker's first deadline (500 ms by default) — SLP at its
+//! 20 ms window, a descriptor unit at 25 ms, Jini at 60 ms and UPnP at
+//! its 400 ms process deadline. A foreign responder that stays silent
+//! therefore ends the fan-out as a *definitive* negative (every unit
+//! came back empty), not a timeout: `queries_retried` and
+//! `queries_exhausted` move only for a unit whose process never
+//! completes at all.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use indiss_net::{Completion, World};
+use indiss_net::SimTime;
 
 use crate::event::{Event, EventStream, SdpProtocol};
 use crate::gateway::GatewayCore;
 use crate::obs::Phase;
 use crate::symbol::Symbol;
-use crate::units::Unit;
 
 /// Backoff growth stops at `initial × 2^3`: past that, a retry is
 /// almost certainly racing the degradation deadline, not the network.
 const BACKOFF_CAP_DOUBLINGS: u32 = 3;
 
-/// One in-flight bridged query's retry state machine. Lives on the
-/// simulation thread (`Rc`, like the [`Completion`]s it arbitrates);
-/// the deterministic wall-clock analogue on the wire front-end is the
-/// *requester's* retransmit loop — the gateway side is stateless there.
+/// One in-flight bridged query's retry state machine.
 pub(crate) struct QueryTracker {
-    /// Registry (stale answers, shard lanes), retry counters and the
-    /// span recorder: each retry lands as a zero-width [`Phase::Retry`]
-    /// span at the deadline's virtual time, lane = the type's registry
-    /// shard (matching the classify span's lane).
-    core: GatewayCore,
     origin: SdpProtocol,
-    request: EventStream,
     stype: Option<Symbol>,
-    units: Vec<(SdpProtocol, Rc<dyn Unit>)>,
-    /// First response stream carrying a service URL wins; the
-    /// degradation path completes it too, so every query terminates.
-    winner: Completion<EventStream>,
+    /// Foreign units every attempt fans out to.
+    fanout: usize,
+    /// Per attempt: how many of its unit processes came back empty.
+    failures: Vec<usize>,
     timeout: Duration,
     retries: u32,
+    /// Set once the query has its answer; later steps are no-ops.
+    answered: bool,
+}
+
+/// What a fired deadline decides.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Deadline {
+    /// Fan out again as attempt `index`.
+    Retry(u32),
+    /// Out of retries: answer with a stale registry answer, or a
+    /// negative `408`.
+    Answer(EventStream),
+    /// The query was answered already (virtual timers are not
+    /// cancelled).
+    Idle,
 }
 
 impl QueryTracker {
     pub(crate) fn new(
-        core: GatewayCore,
         origin: SdpProtocol,
-        request: EventStream,
-        units: Vec<(SdpProtocol, Rc<dyn Unit>)>,
-        winner: Completion<EventStream>,
+        stype: Option<Symbol>,
+        fanout: usize,
         timeout: Duration,
         retries: u32,
-    ) -> Rc<QueryTracker> {
-        let stype = request.service_type_symbol();
-        Rc::new(QueryTracker { core, origin, request, stype, units, winner, timeout, retries })
+    ) -> QueryTracker {
+        let failures = Vec::with_capacity(1);
+        QueryTracker { origin, stype, fanout, failures, timeout, retries, answered: false }
     }
 
-    /// Launches the first fan-out attempt and arms its deadline.
-    pub(crate) fn start(self: &Rc<Self>, world: &World) {
-        self.attempt(world, 0);
+    /// Starts attempt `index` — 0 first, then each [`Deadline::Retry`]'s
+    /// — and returns the delay its deadline is to be armed for.
+    pub(crate) fn attempt(&mut self, index: u32) -> Duration {
+        self.failures.push(0);
+        self.backoff(index)
     }
 
-    /// One fan-out attempt: query every foreign unit; the first reply
-    /// with a service URL completes the winner, and an all-units-empty
-    /// round completes it with the (negative) last reply — that is a
-    /// definitive answer, not a timeout, so it is never retried.
-    fn attempt(self: &Rc<Self>, world: &World, index: u32) {
-        let expected = self.units.len();
-        let failures = Rc::new(RefCell::new(0usize));
-        for (_, unit) in &self.units {
-            let reply: Completion<EventStream> = Completion::new();
-            unit.execute_query(world, &self.request, reply.clone());
-            let winner = self.winner.clone();
-            let failures = Rc::clone(&failures);
-            reply.subscribe(move |response| {
-                if response.service_url().is_some() {
-                    winner.complete(response);
-                } else {
-                    let mut f = failures.borrow_mut();
-                    *f += 1;
-                    if *f == expected {
-                        winner.complete(response);
-                    }
-                }
-            });
+    /// A unit process of attempt `attempt` completed. Returns the
+    /// query's answer when this decides it: the first response carrying
+    /// a service URL, or the last of an attempt whose every unit came
+    /// back empty — that is a definitive answer, not a timeout, so it is
+    /// never retried.
+    pub(crate) fn unit_completed(
+        &mut self,
+        attempt: u32,
+        response: EventStream,
+    ) -> Option<EventStream> {
+        if self.answered {
+            return None;
         }
-        let tracker = Rc::clone(self);
-        world.schedule_in(self.backoff(index), move |w| tracker.deadline(w, index));
+        if response.service_url().is_none() {
+            let failed = &mut self.failures[attempt as usize];
+            *failed += 1;
+            if *failed < self.fanout {
+                return None;
+            }
+        }
+        self.answered = true;
+        Some(response)
     }
 
-    /// A deadline fired. Completed queries make this a no-op (virtual
-    /// timers cannot be cancelled); otherwise retry or degrade.
-    fn deadline(self: &Rc<Self>, world: &World, index: u32) {
-        if self.winner.is_complete() {
-            return;
+    /// Attempt `index`'s deadline fired at `now`: retry, degrade, or
+    /// nothing when the query was answered already. Retries and
+    /// exhaustion are counted on `core`; each retry lands as a
+    /// zero-width [`Phase::Retry`] span, lane = the type's registry shard
+    /// (matching the classify span's lane).
+    pub(crate) fn deadline(&mut self, index: u32, core: &GatewayCore, now: SimTime) -> Deadline {
+        if self.answered {
+            return Deadline::Idle;
         }
         if index < self.retries {
-            self.core.counters.queries_retried.fetch_add(1, Ordering::Relaxed);
-            if self.core.tracer.enabled() {
-                let lane = self.stype.clone().map_or(0, |t| self.core.registry.shard_of(t));
-                let now = world.now();
-                self.core.tracer.record_at(lane, Phase::Retry, now, now);
+            core.counters.queries_retried.fetch_add(1, Ordering::Relaxed);
+            if core.tracer.enabled() {
+                let lane = self.stype.clone().map_or(0, |t| core.registry.shard_of(t));
+                core.tracer.record_at(lane, Phase::Retry, now, now);
             }
-            self.attempt(world, index + 1);
-            return;
+            return Deadline::Retry(index + 1);
         }
-        self.core.counters.queries_exhausted.fetch_add(1, Ordering::Relaxed);
-        let stale = self.stype.clone().and_then(|t| self.core.registry.stale_response(t));
-        match stale {
+        self.answered = true;
+        core.counters.queries_exhausted.fetch_add(1, Ordering::Relaxed);
+        match self.stype.clone().and_then(|t| core.registry.stale_response(t)) {
             Some(response) => {
-                // Serve-stale-under-outage: the winner's subscriber
-                // re-warms the cache with this answer, deliberately —
-                // a request storm during the outage is then absorbed
-                // by the warm path instead of retried per request.
-                self.core.counters.stale_served.fetch_add(1, Ordering::Relaxed);
-                self.winner.complete(response);
+                // Serve-stale-under-outage: delivery re-warms the cache
+                // with this answer, deliberately — a request storm during
+                // the outage is then absorbed by the warm path instead of
+                // retried per request.
+                core.counters.stale_served.fetch_add(1, Ordering::Relaxed);
+                Deadline::Answer(response)
             }
-            None => {
-                self.winner.complete(EventStream::framed(vec![
-                    Event::NetType(self.origin),
-                    Event::ServiceResponse,
-                    Event::ResErr(408),
-                ]));
-            }
+            None => Deadline::Answer(EventStream::framed(vec![
+                Event::NetType(self.origin),
+                Event::ServiceResponse,
+                Event::ResErr(408),
+            ])),
         }
     }
 
@@ -190,18 +195,10 @@ impl QueryTracker {
 mod tests {
     use super::*;
 
-    fn tracker(timeout_ms: u64, stype: Option<&str>) -> Rc<QueryTracker> {
-        QueryTracker::new(
-            GatewayCore::new(&crate::IndissConfig::new(), crate::Tracer::disabled()),
-            SdpProtocol::Slp,
-            EventStream::framed(stype.map(|t| Event::ServiceType(t.into())).into_iter().collect()),
-            Vec::new(),
-            Completion::new(),
-            Duration::from_millis(timeout_ms),
-            2,
-        )
+    fn tracker(timeout_ms: u64, stype: Option<&str>) -> QueryTracker {
+        let stype = stype.map(Symbol::from);
+        QueryTracker::new(SdpProtocol::Slp, stype, 1, Duration::from_millis(timeout_ms), 2)
     }
-
     #[test]
     fn backoff_doubles_and_caps() {
         let t = tracker(100, None);

@@ -27,7 +27,7 @@
 //! role the interop tests and benchmarks need for a protocol that has no
 //! hand-written stack.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::io::Write as _;
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::rc::Rc;
@@ -37,7 +37,7 @@ use indiss_net::{Completion, Datagram, NetResult, Node, UdpSocket, World};
 
 use crate::error::{CoreError, CoreResult};
 use crate::event::{Event, EventStream, EventStreamBuilder, ProtocolId, SdpProtocol, Symbol};
-use crate::units::{ParsedMessage, Unit};
+use crate::units::{error_stream, Effect, ParsedMessage, Processes, Sock, Unit};
 
 // ---------------------------------------------------------------------
 // Templates: the parser table rows / composer templates
@@ -465,14 +465,7 @@ impl SdpDescriptor {
         let url = response.service_url()?;
         let requester = request.source_addr()?;
         let canonical = request.service_type()?;
-        let ttl = response
-            .events()
-            .iter()
-            .find_map(|e| match e {
-                Event::ResTtl(t) => Some(*t),
-                _ => None,
-            })
-            .unwrap_or(self.default_ttl);
+        let ttl = response.ttl().unwrap_or(self.default_ttl);
         self.answer.render_into(out, Some(canonical), Some(url), ttl)?;
         Some(requester)
     }
@@ -483,23 +476,87 @@ impl SdpDescriptor {
 // ---------------------------------------------------------------------
 
 struct PendingQuery {
-    token: u64,
+    id: u64,
     canonical: Symbol,
-    reply: Completion<EventStream>,
 }
 
-struct DescriptorUnitInner {
+/// A descriptor unit's query process, sans I/O: one multicast query
+/// line, then every pending query for the answered type completes with
+/// the first answer line — or with a 404 when its window closes. The
+/// process id is also the deadline's timer key.
+pub(crate) struct DescriptorProcesses {
     descriptor: SdpDescriptor,
-    socket: UdpSocket,
     pending: Vec<PendingQuery>,
-    next_token: u64,
+}
+
+impl DescriptorProcesses {
+    pub(crate) fn new(descriptor: SdpDescriptor) -> DescriptorProcesses {
+        DescriptorProcesses { descriptor, pending: Vec::new() }
+    }
+}
+
+impl Processes for DescriptorProcesses {
+    fn start_query(&mut self, id: u64, request: &EventStream, fx: &mut Vec<Effect>) {
+        let d = &self.descriptor;
+        let line = request
+            .service_type_symbol()
+            .and_then(|c| Some((d.query.render(Some(&c), None, d.default_ttl)?, c)));
+        let Some((line, canonical)) = line else {
+            fx.push(Effect::Complete { id, response: error_stream(d.protocol(), 2) });
+            return;
+        };
+        fx.push(Effect::Send {
+            from: Sock::Unit,
+            to: d.multicast_addr(),
+            bytes: line.into_bytes(),
+            delay: Duration::ZERO,
+        });
+        fx.push(Effect::Arm { timer: id, delay: d.query_window + Duration::from_millis(5) });
+        self.pending.push(PendingQuery { id, canonical });
+    }
+
+    /// An answer at the unit's socket completes every pending query for
+    /// its canonical type. The line goes through the same parser-table
+    /// row as monitor-path answers ([`Unit::parse`]'s `Response` branch).
+    fn on_datagram(&mut self, _: Sock, dgram: &Datagram, fx: &mut Vec<Effect>) -> ParsedMessage {
+        let ParsedMessage::Response(response) =
+            self.descriptor.decode_wire(&dgram.payload, dgram.src, dgram.is_multicast())
+        else {
+            return ParsedMessage::NotRelevant;
+        };
+        let Some(canonical) = response.service_type_symbol() else {
+            return ParsedMessage::Handled;
+        };
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].canonical == canonical {
+                let id = self.pending.swap_remove(i).id;
+                fx.push(Effect::Complete { id, response: response.clone() });
+            } else {
+                i += 1;
+            }
+        }
+        ParsedMessage::Handled
+    }
+
+    /// The window closed: a query nothing answered fails the bridge.
+    fn on_timer(&mut self, id: u64, fx: &mut Vec<Effect>) {
+        if let Some(at) = self.pending.iter().position(|p| p.id == id) {
+            self.pending.swap_remove(at);
+            fx.push(Effect::Complete {
+                id,
+                response: error_stream(self.descriptor.protocol(), 404),
+            });
+        }
+    }
 }
 
 /// A [`Unit`] interpreted from an [`SdpDescriptor`]: the open-world
 /// counterpart of the hand-written SLP/UPnP/Jini units.
-#[derive(Clone)]
 pub struct DescriptorUnit {
-    inner: Rc<RefCell<DescriptorUnitInner>>,
+    descriptor: SdpDescriptor,
+    socket: UdpSocket,
+    processes: RefCell<DescriptorProcesses>,
 }
 
 impl DescriptorUnit {
@@ -510,167 +567,64 @@ impl DescriptorUnit {
     ///
     /// Network errors from the socket bind.
     pub fn new(node: &Node, descriptor: SdpDescriptor) -> NetResult<DescriptorUnit> {
-        let socket = node.udp_bind_ephemeral()?;
-        let unit = DescriptorUnit {
-            inner: Rc::new(RefCell::new(DescriptorUnitInner {
-                descriptor,
-                socket: socket.clone(),
-                pending: Vec::new(),
-                next_token: 1,
-            })),
-        };
-        let this = unit.clone();
-        socket.on_receive(move |world, dgram| this.handle_own_socket(world, &dgram));
-        Ok(unit)
+        Ok(DescriptorUnit {
+            socket: node.udp_bind_ephemeral()?,
+            processes: RefCell::new(DescriptorProcesses::new(descriptor.clone())),
+            descriptor,
+        })
     }
 
     /// The descriptor this unit interprets.
     pub fn descriptor(&self) -> SdpDescriptor {
-        self.inner.borrow().descriptor.clone()
-    }
-
-    /// Answers arriving at the unit's own socket complete the pending
-    /// native queries for their canonical type. The answer line goes
-    /// through the same parser-table row as monitor-path answers
-    /// ([`Unit::parse`]'s `Response` branch), so both paths stay in sync.
-    fn handle_own_socket(&self, world: &World, dgram: &Datagram) {
-        let ParsedMessage::Response(response) = self.parse(world, dgram) else {
-            return;
-        };
-        let Some(canonical) = response.service_type_symbol() else {
-            return;
-        };
-        // Extract the matching pendings first, then complete outside the
-        // borrow: completion subscribers run synchronously and may
-        // re-enter the unit.
-        let matched = {
-            let mut inner = self.inner.borrow_mut();
-            let mut matched = Vec::new();
-            let mut i = 0;
-            while i < inner.pending.len() {
-                if inner.pending[i].canonical == canonical {
-                    matched.push(inner.pending.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            matched
-        };
-        for pending in matched {
-            pending.reply.complete(response.clone());
-        }
-    }
-
-    fn error_stream(&self, code: u16) -> EventStream {
-        let protocol = self.inner.borrow().descriptor.protocol();
-        EventStream::framed(vec![
-            Event::NetType(protocol),
-            Event::ServiceResponse,
-            Event::ResErr(code),
-        ])
+        self.descriptor.clone()
     }
 }
 
 impl Unit for DescriptorUnit {
     fn protocol(&self) -> SdpProtocol {
-        self.inner.borrow().descriptor.protocol()
+        self.descriptor.protocol()
     }
 
     fn parse(&self, _world: &World, dgram: &Datagram) -> ParsedMessage {
-        let inner = self.inner.borrow();
-        inner.descriptor.decode_wire(&dgram.payload, dgram.src, dgram.is_multicast())
+        self.descriptor.decode_wire(&dgram.payload, dgram.src, dgram.is_multicast())
     }
 
-    fn execute_query(&self, world: &World, request: &EventStream, reply: Completion<EventStream>) {
-        let Some(canonical) = request.service_type_symbol() else {
-            reply.complete(self.error_stream(2));
-            return;
-        };
-        let (wire, dst, window, token) = {
-            let mut inner = self.inner.borrow_mut();
-            let Some(line) =
-                inner.descriptor.query.render(Some(&canonical), None, inner.descriptor.default_ttl)
-            else {
-                reply.complete(self.error_stream(2));
-                return;
-            };
-            let token = inner.next_token;
-            inner.next_token += 1;
-            inner.pending.push(PendingQuery { token, canonical, reply: reply.clone() });
-            (
-                line.into_bytes(),
-                inner.descriptor.multicast_addr(),
-                inner.descriptor.query_window,
-                token,
-            )
-        };
-        let socket = self.inner.borrow().socket.clone();
-        let _ = socket.send_to(&wire, dst);
-        // Deadline: a query nothing answered fails the bridge honestly.
-        let this = self.clone();
-        world.schedule_in(window + Duration::from_millis(5), move |_| {
-            let timed_out = {
-                let mut inner = this.inner.borrow_mut();
-                match inner.pending.iter().position(|p| p.token == token) {
-                    Some(at) => Some(inner.pending.swap_remove(at)),
-                    None => None,
-                }
-            };
-            if let Some(pending) = timed_out {
-                pending.reply.complete(this.error_stream(404));
-            }
-        });
+    fn socket(&self) -> Option<UdpSocket> {
+        Some(self.socket.clone())
+    }
+
+    fn processes(&self) -> Option<RefMut<'_, dyn Processes>> {
+        Some(self.processes.borrow_mut())
     }
 
     fn compose_response(&self, world: &World, request: &EventStream, response: &EventStream) {
-        let (wire, requester, delay, socket) = {
-            let inner = self.inner.borrow();
-            // Nothing found (or an uncomposable stream): silence, like
-            // the multicast SDPs.
-            let mut wire = Vec::new();
-            let Some(requester) =
-                inner.descriptor.compose_answer_into(request, response, &mut wire)
-            else {
-                return;
-            };
-            (wire, requester, inner.descriptor.translation_delay, inner.socket.clone())
+        // Nothing found (or an uncomposable stream): silence, like the
+        // multicast SDPs.
+        let mut wire = Vec::new();
+        let Some(requester) = self.descriptor.compose_answer_into(request, response, &mut wire)
+        else {
+            return;
         };
-        world.schedule_in(delay, move |_| {
+        let socket = self.socket.clone();
+        world.schedule_in(self.descriptor.translation_delay, move |_| {
             let _ = socket.send_to(&wire, requester);
         });
     }
 
     fn compose_advert(&self, world: &World, advert: &EventStream) {
-        let Some(canonical) = advert.service_type() else {
+        let d = &self.descriptor;
+        let template = if advert.is_byebye() { d.byebye.as_ref() } else { d.alive.as_ref() };
+        // No advert vocabulary, or nothing to fill the template with.
+        let ttl = advert.ttl().unwrap_or(d.default_ttl);
+        let Some(line) = template
+            .and_then(|t| t.render(Some(advert.service_type()?), advert.service_url(), ttl))
+        else {
             return;
         };
-        let (line, delay, socket, dst) = {
-            let inner = self.inner.borrow();
-            let d = &inner.descriptor;
-            let template = if advert.is_byebye() { d.byebye.as_ref() } else { d.alive.as_ref() };
-            let Some(template) = template else {
-                return; // this protocol has no advert vocabulary
-            };
-            let ttl = advert
-                .events()
-                .iter()
-                .find_map(|e| match e {
-                    Event::ResTtl(t) => Some(*t),
-                    _ => None,
-                })
-                .unwrap_or(d.default_ttl);
-            let Some(line) = template.render(Some(canonical), advert.service_url(), ttl) else {
-                return;
-            };
-            (line, d.translation_delay, inner.socket.clone(), d.multicast_addr())
-        };
-        world.schedule_in(delay, move |_| {
+        let (socket, dst) = (self.socket.clone(), d.multicast_addr());
+        world.schedule_in(d.translation_delay, move |_| {
             let _ = socket.send_to(line.as_bytes(), dst);
         });
-    }
-
-    fn own_sources(&self) -> Vec<SocketAddrV4> {
-        self.inner.borrow().socket.local_addr().map(|a| vec![a]).unwrap_or_default()
     }
 }
 
@@ -899,6 +853,7 @@ impl DescriptorClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::tests::{heard, request, step};
 
     fn test_descriptor(tag: &str, port: u16) -> SdpDescriptor {
         SdpDescriptor::define(tag, port, Ipv4Addr::new(239, 7, 7, 7))
@@ -1024,38 +979,53 @@ mod tests {
         assert_eq!(unit.parse(&world, &binary), ParsedMessage::NotRelevant);
     }
 
+    /// Starts queries 1 and 2 for `scanner`, checking the first's query
+    /// line and deadline.
+    fn started(d: &SdpDescriptor) -> DescriptorProcesses {
+        let mut queries = DescriptorProcesses::new(d.clone());
+        let fx = step(|fx| queries.start_query(1, &request("scanner"), fx));
+        let (to, bytes, delay) = (d.multicast_addr(), b"TQ scanner".to_vec(), Duration::ZERO);
+        let deadline = Effect::Arm { timer: 1, delay: Duration::from_millis(25) };
+        assert_eq!(fx, [Effect::Send { from: Sock::Unit, to, bytes, delay }, deadline]);
+        step(|fx| queries.start_query(2, &request("scanner"), fx));
+        queries
+    }
+
+    fn answer() -> Datagram {
+        heard(b"TA scanner scan://10.0.0.5:99 ttl=60".to_vec())
+    }
+
+    /// The query process stepped with no `World`: an answer line for the
+    /// type completes every query pending for it, and a second answer
+    /// or a deadline after that completes nothing.
     #[test]
     fn execute_query_drives_the_native_process() {
-        let d = test_descriptor("unit-query-proto", 6311);
-        let world = World::new(2);
-        let gw = world.add_node("gw");
-        let svc_node = world.add_node("svc");
-        let service = DescriptorService::start(&svc_node, d.clone()).unwrap();
-        service.register("scanner", "scan://10.0.0.5:99");
-        let unit = DescriptorUnit::new(&gw, d).unwrap();
-        let request =
-            EventStream::framed(vec![Event::ServiceRequest, Event::ServiceType("scanner".into())]);
-        let reply: Completion<EventStream> = Completion::new();
-        unit.execute_query(&world, &request, reply.clone());
-        world.run_for(Duration::from_secs(1));
-        let response = reply.take().expect("query completed");
+        let mut queries = started(&test_descriptor("unit-query-proto", 6311));
+        let fx = step(|fx| queries.on_datagram(Sock::Unit, &answer(), fx));
+        let [Effect::Complete { id: 1, response }, Effect::Complete { id: 2, .. }] = &fx[..] else {
+            panic!("both pending queries answered: {fx:?}");
+        };
         assert_eq!(response.service_url(), Some("scan://10.0.0.5:99"));
-        assert!(response.is_response());
+        let late = step(|fx| {
+            queries.on_datagram(Sock::Unit, &answer(), fx);
+            queries.on_timer(1, fx);
+        });
+        assert!(late.is_empty(), "no second Complete: {late:?}");
     }
 
     #[test]
     fn execute_query_times_out_to_error_stream() {
-        let d = test_descriptor("unit-timeout-proto", 6312);
-        let world = World::new(3);
-        let gw = world.add_node("gw");
-        let unit = DescriptorUnit::new(&gw, d).unwrap();
-        let request =
-            EventStream::framed(vec![Event::ServiceRequest, Event::ServiceType("nothing".into())]);
-        let reply: Completion<EventStream> = Completion::new();
-        unit.execute_query(&world, &request, reply.clone());
-        world.run_for(Duration::from_secs(1));
-        let response = reply.take().expect("deadline fired");
+        let mut queries = started(&test_descriptor("unit-timeout-proto", 6312));
+        let fx = step(|fx| queries.on_timer(2, fx));
+        let [Effect::Complete { id: 2, response }] = &fx[..] else { panic!("{fx:?}") };
         assert!(response.events().iter().any(|e| matches!(e, Event::ResErr(404))));
+        let late = step(|fx| {
+            queries.on_datagram(Sock::Unit, &answer(), fx);
+            queries.on_timer(2, fx);
+        });
+        let [Effect::Complete { id: 1, .. }] = &late[..] else {
+            panic!("only the query still pending is answered: {late:?}");
+        };
     }
 
     #[test]

@@ -4,27 +4,24 @@
 //! service first. The unit therefore plays both sides:
 //!
 //! * towards Jini **clients**, it answers multicast discovery requests by
-//!   announcing *itself* as a lookup service; lookups that arrive are
-//!   bridged to the other SDPs through the runtime;
+//!   announcing *itself* as a lookup service; lookups that arrive come
+//!   back to the runtime as requests, bridged to the other SDPs and
+//!   answered by [`Unit::compose_response`] like any other;
 //! * towards Jini **services**, it behaves as a client of any real
 //!   lookup service it hears (queries it for foreign requests, forwards
 //!   foreign advertisements as registrations).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell, RefMut};
+use std::collections::HashSet;
 use std::net::SocketAddrV4;
-use std::rc::Rc;
 use std::time::Duration;
 
 use indiss_jini::{JiniPacket, ServiceItem, JINI_PORT, JINI_REQUEST_GROUP};
-use indiss_net::{Completion, Datagram, NetResult, Node, UdpSocket, World};
+use indiss_net::{Datagram, NetResult, Node, UdpSocket, World};
 
 use crate::event::{Event, EventStream, SdpProtocol, Symbol};
 use crate::registry::{Projection, RegistryConfig, ServiceRegistry};
-use crate::units::{ParsedMessage, Unit};
-
-/// Callback the runtime installs so lookups arriving at the unit's own
-/// socket can be bridged: `(world, request-events, reply)`.
-pub type BridgeRequestFn = Rc<dyn Fn(&World, EventStream, Completion<EventStream>)>;
+use crate::units::{error_stream, Effect, ParsedMessage, Processes, Sock, Unit};
 
 /// Jini unit tuning.
 #[derive(Debug, Clone)]
@@ -50,24 +47,166 @@ impl Default for JiniUnitConfig {
     }
 }
 
-struct JiniUnitInner {
-    socket: UdpSocket,
+/// The Jini unit's processes, sans I/O. Jini's repository step comes
+/// first: with no registrar known, a query multicasts a
+/// `DiscoveryRequest`, and the `Announcement` that reaches the unit's
+/// socket releases the waiting lookups. Every query then sends one
+/// `Lookup`, and the next `LookupReply` completes every lookup sent — or
+/// a query completes with a 404 when its window closes. The process id
+/// is also the deadline's timer key. The unit's socket is also the
+/// registrar Jini clients were announced: their lookups and
+/// registrations come back to the runtime as requests and adverts.
+pub(crate) struct JiniProcesses {
     config: JiniUnitConfig,
     /// A real lookup service, if one has been heard.
-    real_registrar: Option<SocketAddrV4>,
-    pending_lookups: Vec<Completion<Vec<ServiceItem>>>,
-    pending_discoveries: Vec<Completion<SocketAddrV4>>,
-    bridge: Option<BridgeRequestFn>,
-    /// Shared registry: bridged endpoints keep one stable service id
-    /// (stored as a projection) instead of minting a fresh id per reply.
-    registry: ServiceRegistry,
-    next_service_id: u64,
+    registrar: Option<SocketAddrV4>,
+    /// Queries not yet completed.
+    live: HashSet<u64>,
+    /// Lookups waiting for a registrar. A closed window does not take a
+    /// query off either list: the lookup still goes out once a registrar
+    /// is heard, and its reply completes nothing.
+    discovering: Vec<(u64, Symbol)>,
+    /// Lookups sent, waiting for a `LookupReply`.
+    looking_up: Vec<(u64, Symbol)>,
+}
+
+impl JiniProcesses {
+    pub(crate) fn new(config: JiniUnitConfig) -> JiniProcesses {
+        JiniProcesses {
+            config,
+            registrar: None,
+            live: HashSet::new(),
+            discovering: Vec::new(),
+            looking_up: Vec::new(),
+        }
+    }
+
+    fn look_up(&mut self, id: u64, canonical: Symbol, to: SocketAddrV4, fx: &mut Vec<Effect>) {
+        let bytes = JiniPacket::Lookup { service_type: canonical.as_str().to_owned() }.encode();
+        self.looking_up.push((id, canonical));
+        fx.push(Effect::Send { from: Sock::Unit, to, bytes, delay: Duration::ZERO });
+    }
+}
+
+impl Processes for JiniProcesses {
+    fn start_query(&mut self, id: u64, request: &EventStream, fx: &mut Vec<Effect>) {
+        let Some(canonical) = request.service_type_symbol() else {
+            fx.push(Effect::Complete { id, response: error_stream(SdpProtocol::Jini, 2) });
+            return;
+        };
+        self.live.insert(id);
+        match self.registrar {
+            Some(registrar) => self.look_up(id, canonical, registrar, fx),
+            None => {
+                self.discovering.push((id, canonical));
+                let packet = JiniPacket::DiscoveryRequest { groups: self.config.groups.clone() };
+                let to = SocketAddrV4::new(JINI_REQUEST_GROUP, JINI_PORT);
+                fx.push(Effect::Send {
+                    from: Sock::Unit,
+                    to,
+                    bytes: packet.encode(),
+                    delay: Duration::ZERO,
+                });
+            }
+        }
+        let delay = self.config.query_window + Duration::from_millis(10);
+        fx.push(Effect::Arm { timer: id, delay });
+    }
+
+    fn on_datagram(&mut self, _: Sock, dgram: &Datagram, fx: &mut Vec<Effect>) -> ParsedMessage {
+        let Ok(packet) = JiniPacket::decode(&dgram.payload) else {
+            return ParsedMessage::NotRelevant;
+        };
+        match packet {
+            JiniPacket::Announcement { host, port, .. } => {
+                let Ok(ip) = host.parse() else { return ParsedMessage::Handled };
+                let registrar = SocketAddrV4::new(ip, port);
+                self.registrar = Some(registrar);
+                for (id, canonical) in std::mem::take(&mut self.discovering) {
+                    self.look_up(id, canonical, registrar, fx);
+                }
+            }
+            JiniPacket::LookupReply { items } => {
+                for (id, canonical) in self.looking_up.drain(..) {
+                    if self.live.remove(&id) {
+                        fx.push(Effect::Complete {
+                            id,
+                            response: lookup_response(canonical, &items),
+                        });
+                    }
+                }
+            }
+            // A Jini client that took the unit for its registrar.
+            JiniPacket::Lookup { service_type } => {
+                return ParsedMessage::Request(EventStream::framed(vec![
+                    Event::NetType(SdpProtocol::Jini),
+                    Event::NetUnicast,
+                    Event::NetSourceAddr(dgram.src),
+                    Event::ServiceRequest,
+                    Event::JiniGroups(self.config.groups.clone()),
+                    Event::ServiceType(Symbol::intern_lowercase(&service_type)),
+                ]));
+            }
+            // A Jini service registering with the unit: acknowledged, then
+            // re-advertised in the other SDPs like any advert.
+            JiniPacket::Register { item, lease_secs } => {
+                let lease = lease_secs.min(self.config.lease_secs);
+                let ack =
+                    JiniPacket::RegisterAck { service_id: item.service_id, lease_secs: lease };
+                let delay = self.config.translation_delay;
+                fx.push(Effect::Send {
+                    from: Sock::Unit,
+                    to: dgram.src,
+                    bytes: ack.encode(),
+                    delay,
+                });
+                return ParsedMessage::Advert(advert_events_from_item(&item, dgram.src, lease));
+            }
+            _ => {}
+        }
+        ParsedMessage::Handled
+    }
+
+    /// The window closed: a query still open fails the bridge.
+    fn on_timer(&mut self, id: u64, fx: &mut Vec<Effect>) {
+        if self.live.remove(&id) {
+            fx.push(Effect::Complete { id, response: error_stream(SdpProtocol::Jini, 404) });
+        }
+    }
+}
+
+/// Translates a `LookupReply`'s items into response events for a query
+/// for `canonical`: the first item, or a 404.
+fn lookup_response(canonical: Symbol, items: &[ServiceItem]) -> EventStream {
+    let mut body = vec![Event::NetType(SdpProtocol::Jini), Event::ServiceResponse];
+    match items.first() {
+        Some(item) => {
+            body.push(Event::ResOk);
+            body.push(Event::ServiceType(canonical));
+            body.push(Event::JiniServiceId(item.service_id));
+            body.push(Event::ResTtl(300));
+            for (tag, value) in &item.attributes {
+                body.push(Event::ResAttr {
+                    tag: tag.as_str().into(),
+                    value: value.as_str().into(),
+                });
+            }
+            body.push(Event::ResServUrl(endpoint_to_url(&item.endpoint)));
+        }
+        None => body.push(Event::ResErr(404)),
+    }
+    EventStream::framed(body)
 }
 
 /// The Jini unit.
-#[derive(Clone)]
 pub struct JiniUnit {
-    inner: Rc<RefCell<JiniUnitInner>>,
+    socket: UdpSocket,
+    config: JiniUnitConfig,
+    processes: RefCell<JiniProcesses>,
+    /// Shared registry: bridged endpoints keep one stable service id
+    /// (stored as a projection) instead of minting a fresh id per reply.
+    registry: RefCell<ServiceRegistry>,
+    next_service_id: Cell<u64>,
 }
 
 impl JiniUnit {
@@ -78,152 +217,40 @@ impl JiniUnit {
     ///
     /// Network errors from the socket bind.
     pub fn new(node: &Node, config: JiniUnitConfig) -> NetResult<JiniUnit> {
-        let socket = node.udp_bind_ephemeral()?;
-        let unit = JiniUnit {
-            inner: Rc::new(RefCell::new(JiniUnitInner {
-                socket: socket.clone(),
-                config,
-                real_registrar: None,
-                pending_lookups: Vec::new(),
-                pending_discoveries: Vec::new(),
-                bridge: None,
-                registry: ServiceRegistry::new(RegistryConfig::default()),
-                next_service_id: 0x1000,
-            })),
-        };
-        let this = unit.clone();
-        socket.on_receive(move |world, dgram| this.handle_own_socket(world, dgram));
-        Ok(unit)
-    }
-
-    /// Installs the runtime's bridge callback for lookups that arrive at
-    /// the unit's registrar endpoint.
-    pub fn set_bridge(&self, bridge: BridgeRequestFn) {
-        self.inner.borrow_mut().bridge = Some(bridge);
+        Ok(JiniUnit {
+            socket: node.udp_bind_ephemeral()?,
+            processes: RefCell::new(JiniProcesses::new(config.clone())),
+            config,
+            registry: RefCell::new(ServiceRegistry::new(RegistryConfig::default())),
+            next_service_id: Cell::new(0x1000),
+        })
     }
 
     /// The real registrar heard so far, if any (exposed for tests).
     pub fn real_registrar(&self) -> Option<SocketAddrV4> {
-        self.inner.borrow().real_registrar
+        self.processes.borrow().registrar
     }
 
     /// The stable service id for a bridged endpoint: reused from the
     /// shared registry's projection when the endpoint was bridged before,
     /// minted (and recorded) otherwise.
     fn service_id_for(&self, url: &str) -> u64 {
-        let registry = self.inner.borrow().registry.clone();
+        let registry = self.registry.borrow();
         if let Some(id) = registry.projection(SdpProtocol::Jini, url).and_then(|p| p.service_id) {
             return id;
         }
-        let id = {
-            let mut inner = self.inner.borrow_mut();
-            inner.next_service_id += 1;
-            inner.next_service_id
-        };
-        registry.set_projection(
-            SdpProtocol::Jini,
-            url,
-            Projection { service_id: Some(id), ..Projection::default() },
-        );
+        let id = self.next_service_id.get() + 1;
+        self.next_service_id.set(id);
+        let projection = Projection { service_id: Some(id), ..Projection::default() };
+        registry.set_projection(SdpProtocol::Jini, url, projection);
         id
     }
 
-    fn send(&self, packet: &JiniPacket, to: SocketAddrV4) {
-        let socket = self.inner.borrow().socket.clone();
-        let _ = socket.send_to(&packet.encode(), to);
-    }
-
-    fn own_announcement(&self) -> JiniPacket {
-        let inner = self.inner.borrow();
-        let addr = inner.socket.local_addr().expect("socket open");
-        JiniPacket::Announcement {
-            host: addr.ip().to_string(),
-            port: addr.port(),
-            groups: inner.config.groups.clone(),
-        }
-    }
-
-    /// Traffic at the unit's own socket: replies to queries it issued,
-    /// plus lookups/registrations from Jini clients that discovered the
-    /// unit as their registrar.
-    fn handle_own_socket(&self, world: &World, dgram: Datagram) {
-        let Ok(packet) = JiniPacket::decode(&dgram.payload) else {
-            return;
-        };
-        match packet {
-            JiniPacket::Announcement { host, port, .. } => {
-                let mut fire = Vec::new();
-                {
-                    let mut inner = self.inner.borrow_mut();
-                    if let Ok(ip) = host.parse() {
-                        let addr = SocketAddrV4::new(ip, port);
-                        inner.real_registrar = Some(addr);
-                        for c in inner.pending_discoveries.drain(..) {
-                            fire.push((c, addr));
-                        }
-                    }
-                }
-                for (c, v) in fire {
-                    c.complete(v);
-                }
-            }
-            JiniPacket::LookupReply { items } => {
-                let pending: Vec<_> = self.inner.borrow_mut().pending_lookups.drain(..).collect();
-                for c in pending {
-                    c.complete(items.clone());
-                }
-            }
-            JiniPacket::Lookup { service_type } => {
-                // A Jini client using us as its registrar: bridge it.
-                self.bridge_lookup(world, &service_type, dgram.src);
-            }
-            JiniPacket::Register { item, lease_secs } => {
-                // A Jini service registering with us: acknowledge and let
-                // the runtime re-advertise it in other SDPs.
-                let (ack_lease, delay) = {
-                    let inner = self.inner.borrow();
-                    (lease_secs.min(inner.config.lease_secs), inner.config.translation_delay)
-                };
-                let ack =
-                    JiniPacket::RegisterAck { service_id: item.service_id, lease_secs: ack_lease };
-                let this = self.clone();
-                world.schedule_in(delay, move |_| this.send(&ack, dgram.src));
-                // Surface as an advert through the bridge (if installed):
-                // the runtime treats it exactly like a parsed advert.
-                let advert = advert_events_from_item(&item, dgram.src, ack_lease);
-                if let Some(bridge) = self.inner.borrow().bridge.clone() {
-                    // Adverts need no reply; the completion is dropped.
-                    bridge(world, advert, Completion::new());
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Bridges a native Jini lookup into a foreign request via the
-    /// runtime, answering with a composed `LookupReply`.
-    fn bridge_lookup(&self, world: &World, service_type: &str, requester: SocketAddrV4) {
-        let Some(bridge) = self.inner.borrow().bridge.clone() else {
-            // No bridge: answer honestly with nothing.
-            self.send(&JiniPacket::LookupReply { items: Vec::new() }, requester);
-            return;
-        };
-        let canonical = Symbol::intern_lowercase(service_type);
-        let request = EventStream::framed(vec![
-            Event::NetType(SdpProtocol::Jini),
-            Event::NetUnicast,
-            Event::NetSourceAddr(requester),
-            Event::ServiceRequest,
-            Event::JiniGroups(self.inner.borrow().config.groups.clone()),
-            Event::ServiceType(canonical),
-        ]);
-        let reply: Completion<EventStream> = Completion::new();
-        bridge(world, request.clone(), reply.clone());
-        let this = self.clone();
-        let request2 = request.clone();
-        let world2 = world.clone();
-        reply.subscribe(move |response| {
-            this.compose_response(&world2, &request2, &response);
+    /// Sends `packet` to `to` once the translation cost is paid.
+    fn send_later(&self, world: &World, packet: &JiniPacket, to: SocketAddrV4) {
+        let (socket, bytes) = (self.socket.clone(), packet.encode());
+        world.schedule_in(self.config.translation_delay, move |_| {
+            let _ = socket.send_to(&bytes, to);
         });
     }
 }
@@ -267,7 +294,7 @@ impl Unit for JiniUnit {
     }
 
     fn bind_registry(&self, registry: &ServiceRegistry) {
-        self.inner.borrow_mut().registry = registry.clone();
+        *self.registry.borrow_mut() = registry.clone();
     }
 
     fn parse(&self, world: &World, dgram: &Datagram) -> ParsedMessage {
@@ -278,18 +305,15 @@ impl Unit for JiniUnit {
             JiniPacket::DiscoveryRequest { groups } => {
                 // Announce ourselves as a lookup service so the client's
                 // lookups reach the bridge (delayed by translation cost).
-                let serves = {
-                    let inner = self.inner.borrow();
-                    inner.bridge.is_some()
-                        && (groups.is_empty()
-                            || groups.iter().any(|g| inner.config.groups.contains(g)))
-                };
-                if serves {
-                    let announcement = self.own_announcement();
-                    let delay = self.inner.borrow().config.translation_delay;
-                    let this = self.clone();
-                    let requester = dgram.src;
-                    world.schedule_in(delay, move |_| this.send(&announcement, requester));
+                let groups_served = &self.config.groups;
+                if groups.is_empty() || groups.iter().any(|g| groups_served.contains(g)) {
+                    let addr = self.socket.local_addr().expect("socket open");
+                    let announcement = JiniPacket::Announcement {
+                        host: addr.ip().to_string(),
+                        port: addr.port(),
+                        groups: groups_served.clone(),
+                    };
+                    self.send_later(world, &announcement, dgram.src);
                 }
                 ParsedMessage::Handled
             }
@@ -297,9 +321,8 @@ impl Unit for JiniUnit {
                 // A real lookup service on the network: remember it.
                 if let Ok(ip) = host.parse::<std::net::Ipv4Addr>() {
                     let addr = SocketAddrV4::new(ip, port);
-                    let own = self.inner.borrow().socket.local_addr().ok();
-                    if own != Some(addr) {
-                        self.inner.borrow_mut().real_registrar = Some(addr);
+                    if self.socket.local_addr().ok() != Some(addr) {
+                        self.processes.borrow_mut().registrar = Some(addr);
                     }
                 }
                 ParsedMessage::Handled
@@ -308,69 +331,12 @@ impl Unit for JiniUnit {
         }
     }
 
-    fn execute_query(&self, world: &World, request: &EventStream, reply: Completion<EventStream>) {
-        let Some(canonical) = request.service_type_symbol() else {
-            reply.complete(EventStream::framed(vec![Event::ServiceResponse, Event::ResErr(2)]));
-            return;
-        };
-        let window = self.inner.borrow().config.query_window;
-        // Step 1: make sure we know a real registrar (Jini's mandatory
-        // repository step).
-        let registrar_known: Completion<SocketAddrV4> = Completion::new();
-        {
-            let mut inner = self.inner.borrow_mut();
-            match inner.real_registrar {
-                Some(addr) => registrar_known.complete(addr),
-                None => inner.pending_discoveries.push(registrar_known.clone()),
-            }
-        }
-        if !registrar_known.is_complete() {
-            let packet =
-                JiniPacket::DiscoveryRequest { groups: self.inner.borrow().config.groups.clone() };
-            self.send(&packet, SocketAddrV4::new(JINI_REQUEST_GROUP, JINI_PORT));
-        }
-        // Step 2: on discovery, issue the lookup.
-        let this = self.clone();
-        let lookup_done: Completion<Vec<ServiceItem>> = Completion::new();
-        let lookup_done2 = lookup_done.clone();
-        let canonical2 = canonical.clone();
-        registrar_known.subscribe(move |registrar| {
-            this.inner.borrow_mut().pending_lookups.push(lookup_done2.clone());
-            this.send(
-                &JiniPacket::Lookup { service_type: canonical2.as_str().to_owned() },
-                registrar,
-            );
-        });
-        // Step 3: translate items to response events.
-        let reply2 = reply.clone();
-        lookup_done.subscribe(move |items| {
-            let mut body = vec![Event::NetType(SdpProtocol::Jini), Event::ServiceResponse];
-            match items.first() {
-                Some(item) => {
-                    body.push(Event::ResOk);
-                    body.push(Event::ServiceType(canonical));
-                    body.push(Event::JiniServiceId(item.service_id));
-                    body.push(Event::ResTtl(300));
-                    for (tag, value) in &item.attributes {
-                        body.push(Event::ResAttr {
-                            tag: tag.as_str().into(),
-                            value: value.as_str().into(),
-                        });
-                    }
-                    body.push(Event::ResServUrl(endpoint_to_url(&item.endpoint)));
-                }
-                None => body.push(Event::ResErr(404)),
-            }
-            reply2.complete(EventStream::framed(body));
-        });
-        // Deadline.
-        world.schedule_in(window + Duration::from_millis(10), move |_| {
-            reply.complete(EventStream::framed(vec![
-                Event::NetType(SdpProtocol::Jini),
-                Event::ServiceResponse,
-                Event::ResErr(404),
-            ]));
-        });
+    fn socket(&self) -> Option<UdpSocket> {
+        Some(self.socket.clone())
+    }
+
+    fn processes(&self) -> Option<RefMut<'_, dyn Processes>> {
+        Some(self.processes.borrow_mut())
     }
 
     fn compose_response(&self, world: &World, request: &EventStream, response: &EventStream) {
@@ -397,17 +363,13 @@ impl Unit for JiniUnit {
             }
             None => Vec::new(),
         };
-        let delay = self.inner.borrow().config.translation_delay;
-        let this = self.clone();
-        world.schedule_in(delay, move |_| {
-            this.send(&JiniPacket::LookupReply { items }, requester);
-        });
+        self.send_later(world, &JiniPacket::LookupReply { items }, requester);
     }
 
     fn compose_advert(&self, world: &World, advert: &EventStream) {
         // Jini has no multicast service advertisement: translate the
         // foreign advert into a registration with the real registrar.
-        let Some(registrar) = self.inner.borrow().real_registrar else {
+        let Some(registrar) = self.real_registrar() else {
             return;
         };
         if advert.is_byebye() {
@@ -417,7 +379,6 @@ impl Unit for JiniUnit {
             return;
         };
         let service_id = self.service_id_for(url);
-        let lease = self.inner.borrow().config.lease_secs;
         let item = ServiceItem {
             service_id,
             service_type: advert.service_type().unwrap_or_default().to_owned(),
@@ -428,23 +389,18 @@ impl Unit for JiniUnit {
                 .map(|(t, v)| (t.to_owned(), v.to_owned()))
                 .collect(),
         };
-        let delay = self.inner.borrow().config.translation_delay;
-        let this = self.clone();
-        world.schedule_in(delay, move |_| {
-            this.send(&JiniPacket::Register { item, lease_secs: lease }, registrar);
-        });
-    }
-
-    fn own_sources(&self) -> Vec<SocketAddrV4> {
-        self.inner.borrow().socket.local_addr().map(|a| vec![a]).unwrap_or_default()
+        let register = JiniPacket::Register { item, lease_secs: self.config.lease_secs };
+        self.send_later(world, &register, registrar);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use indiss_jini::{JiniAgent, JiniConfig, LookupService, JINI_ANNOUNCEMENT_GROUP};
+    use crate::units::tests::{heard, request, step};
+    use indiss_jini::{JiniConfig, LookupService, JINI_ANNOUNCEMENT_GROUP};
     use indiss_net::World;
+    use std::net::Ipv4Addr;
 
     #[test]
     fn announcement_records_real_registrar() {
@@ -468,82 +424,110 @@ mod tests {
         assert_eq!(unit.real_registrar(), Some(SocketAddrV4::new(reggie_node.addr(), JINI_PORT)));
     }
 
+    fn send(to: SocketAddrV4, packet: JiniPacket) -> Effect {
+        Effect::Send { from: Sock::Unit, to, bytes: packet.encode(), delay: Duration::ZERO }
+    }
+
+    fn heard_packet(processes: &mut JiniProcesses, packet: JiniPacket) -> Vec<Effect> {
+        step(|fx| processes.on_datagram(Sock::Unit, &heard(packet.encode()), fx))
+    }
+
+    /// Starts query 4 with no registrar known: a multicast discovery
+    /// request first, and the query's deadline.
+    fn started() -> JiniProcesses {
+        let mut processes = JiniProcesses::new(JiniUnitConfig::default());
+        let fx = step(|fx| processes.start_query(4, &request("clock"), fx));
+        let discovery = JiniPacket::DiscoveryRequest { groups: vec!["public".into()] };
+        let deadline = Effect::Arm { timer: 4, delay: Duration::from_millis(60) };
+        assert_eq!(
+            fx,
+            [send(SocketAddrV4::new(JINI_REQUEST_GROUP, JINI_PORT), discovery), deadline]
+        );
+        processes
+    }
+
+    fn announcement() -> JiniPacket {
+        JiniPacket::Announcement { host: "10.0.0.3".into(), port: JINI_PORT, groups: Vec::new() }
+    }
+
+    /// The query process stepped with no `World`: the registrar's
+    /// announcement releases the lookup, its reply completes the query,
+    /// and a reply or a deadline after that completes nothing. A query
+    /// started once the registrar is known looks up at once.
     #[test]
     fn execute_query_discovers_and_looks_up() {
-        let world = World::new(61);
-        let indiss_node = world.add_node("indiss");
-        let reggie_node = world.add_node("reggie");
-        let provider_node = world.add_node("provider");
-        let unit = JiniUnit::new(&indiss_node, JiniUnitConfig::default()).unwrap();
-        let ls = LookupService::start(&reggie_node, JiniConfig::default()).unwrap();
-        let provider = JiniAgent::start(&provider_node, JiniConfig::default()).unwrap();
-        provider.register(ServiceItem {
-            service_id: 7,
-            service_type: "clock".into(),
-            endpoint: "10.0.0.9:4005".into(),
-            attributes: vec![("name".into(), "Jini Clock".into())],
-        });
-        world.run_for(Duration::from_secs(1));
-        assert_eq!(ls.registration_count(), 1);
+        let mut processes = started();
+        let registrar = SocketAddrV4::new(Ipv4Addr::new(10, 0, 0, 3), JINI_PORT);
+        let lookup = || send(registrar, JiniPacket::Lookup { service_type: "clock".into() });
+        assert_eq!(heard_packet(&mut processes, announcement()), [lookup()]);
 
-        let request =
-            EventStream::framed(vec![Event::ServiceRequest, Event::ServiceType("clock".into())]);
-        let reply: Completion<EventStream> = Completion::new();
-        unit.execute_query(&world, &request, reply.clone());
-        world.run_for(Duration::from_secs(1));
-        let response = reply.take().expect("query done");
+        let attributes = vec![("name".into(), "Jini Clock".into())];
+        let endpoint = "10.0.0.9:4005".into();
+        let item =
+            ServiceItem { service_id: 7, service_type: "clock".into(), endpoint, attributes };
+        let reply = || JiniPacket::LookupReply { items: vec![item.clone()] };
+        let fx = heard_packet(&mut processes, reply());
+        let [Effect::Complete { id: 4, response }] = &fx[..] else { panic!("{fx:?}") };
         assert_eq!(response.service_url(), Some("jini://10.0.0.9:4005"));
         assert!(response.response_attrs().contains(&("name", "Jini Clock")));
+        assert!(heard_packet(&mut processes, reply()).is_empty(), "no second Complete");
+        assert!(step(|fx| processes.on_timer(4, fx)).is_empty(), "no second Complete");
+
+        let fx = step(|fx| processes.start_query(5, &request("clock"), fx));
+        assert_eq!(fx, [lookup(), Effect::Arm { timer: 5, delay: Duration::from_millis(60) }]);
     }
 
+    /// With no registrar, the window closes on a 404. The closed window
+    /// does not withdraw the lookup: a registrar heard later still gets
+    /// it, and its reply completes nothing.
     #[test]
     fn execute_query_without_registrar_fails_cleanly() {
-        let world = World::new(61);
-        let indiss_node = world.add_node("indiss");
-        let unit = JiniUnit::new(&indiss_node, JiniUnitConfig::default()).unwrap();
-        let request =
-            EventStream::framed(vec![Event::ServiceRequest, Event::ServiceType("clock".into())]);
-        let reply: Completion<EventStream> = Completion::new();
-        unit.execute_query(&world, &request, reply.clone());
-        world.run_for(Duration::from_secs(1));
-        let response = reply.take().expect("deadline fired");
-        assert!(response.events().iter().any(|e| matches!(e, Event::ResErr(_))));
+        let mut processes = started();
+        let fx = step(|fx| processes.on_timer(4, fx));
+        let [Effect::Complete { id: 4, response }] = &fx[..] else { panic!("{fx:?}") };
+        assert!(response.events().iter().any(|e| matches!(e, Event::ResErr(404))));
+        assert!(matches!(&heard_packet(&mut processes, announcement())[..], [Effect::Send { .. }]));
+        let reply = JiniPacket::LookupReply { items: Vec::new() };
+        assert!(heard_packet(&mut processes, reply).is_empty(), "no second Complete");
     }
 
+    /// A Jini client that took the unit for its registrar: its lookup
+    /// comes back as a request, and the reply is composed like any other
+    /// request's.
     #[test]
     fn jini_client_lookup_is_bridged() {
         let world = World::new(61);
-        let indiss_node = world.add_node("indiss");
-        let client_node = world.add_node("jini-client");
-        let unit = JiniUnit::new(&indiss_node, JiniUnitConfig::default()).unwrap();
-        // Install a bridge that answers every request with one service.
-        unit.set_bridge(Rc::new(|_world, request, reply| {
-            assert_eq!(request.service_type(), Some("clock"));
-            reply.complete(EventStream::framed(vec![
-                Event::ServiceResponse,
-                Event::ResOk,
-                Event::ServiceType("clock".into()),
-                Event::ResServUrl("soap://10.0.0.2:4005/ctl".into()),
-                Event::ResAttr { tag: "friendlyName".into(), value: "Clock".into() },
-            ]));
-        }));
-
-        let client = JiniAgent::start(&client_node, JiniConfig::default()).unwrap();
-        // The client's multicast discovery request reaches the monitor in
-        // a full deployment; simulate the monitor feed here.
-        let found = client.lookup("clock");
-        // Client sent a DiscoveryRequest; feed it to the unit as the
-        // monitor would (src = client's ephemeral socket).
-        world.run_for(Duration::from_millis(5));
-        let trace_src = SocketAddrV4::new(client_node.addr(), 40000);
-        let dgram = Datagram {
-            src: trace_src,
-            dst: SocketAddrV4::new(JINI_REQUEST_GROUP, JINI_PORT),
-            payload: JiniPacket::DiscoveryRequest { groups: vec!["public".into()] }.encode(),
+        let unit = JiniUnit::new(&world.add_node("indiss"), JiniUnitConfig::default()).unwrap();
+        let client = world.add_node("jini-client").udp_bind(40000).unwrap();
+        let items: indiss_net::Completion<Vec<ServiceItem>> = indiss_net::Completion::new();
+        let items2 = items.clone();
+        client.on_receive(move |_, d| {
+            if let Ok(JiniPacket::LookupReply { items }) = JiniPacket::decode(&d.payload) {
+                items2.complete(items);
+            }
+        });
+        let lookup = Datagram {
+            src: client.local_addr().unwrap(),
+            dst: unit.socket().unwrap().local_addr().unwrap(),
+            payload: JiniPacket::Lookup { service_type: "Clock".into() }.encode(),
         };
-        assert_eq!(unit.parse(&world, &dgram), ParsedMessage::Handled);
-        world.run_for(Duration::from_secs(2));
-        let items = found.take().expect("lookup bridged");
+        let mut fx = Vec::new();
+        let parsed = unit.processes().unwrap().on_datagram(Sock::Unit, &lookup, &mut fx);
+        let ParsedMessage::Request(request) = parsed else { panic!("a lookup is a request") };
+        assert!(fx.is_empty());
+        assert_eq!(request.service_type(), Some("clock"));
+        assert_eq!(request.source_addr(), Some(lookup.src));
+
+        let response = EventStream::framed(vec![
+            Event::ServiceResponse,
+            Event::ResOk,
+            Event::ServiceType("clock".into()),
+            Event::ResServUrl("soap://10.0.0.2:4005/ctl".into()),
+            Event::ResAttr { tag: "friendlyName".into(), value: "Clock".into() },
+        ]);
+        unit.compose_response(&world, &request, &response);
+        world.run_for(Duration::from_secs(1));
+        let items = items.take().expect("lookup answered");
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].endpoint, "soap://10.0.0.2:4005/ctl");
     }

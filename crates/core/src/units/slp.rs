@@ -1,12 +1,11 @@
 //! The SLP unit: SLP parser + SLP composer + coordination FSM.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
 use std::net::SocketAddrV4;
-use std::rc::Rc;
 use std::time::Duration;
 
-use indiss_net::{Completion, Datagram, NetResult, Node, UdpSocket, World};
+use indiss_net::{Datagram, NetResult, Node, UdpSocket, World};
 use indiss_slp::{
     AttributeList, Body, FunctionId, Header, HeaderView, Message, SrvRply, SrvRqstView, UrlEntry,
     DEFAULT_LANG, FLAG_MCAST, SLP_MULTICAST_GROUP, SLP_PORT,
@@ -14,7 +13,9 @@ use indiss_slp::{
 
 use crate::event::{Event, EventStream, EventStreamBuilder, SdpProtocol, Symbol};
 use crate::registry::{RegistryConfig, ServiceRegistry};
-use crate::units::{canonical_type_from_slp, ParsedMessage, Unit};
+use crate::units::{
+    canonical_type_from_slp, error_stream, Effect, ParsedMessage, Processes, Sock, Unit,
+};
 
 /// SLP unit tuning.
 #[derive(Debug, Clone)]
@@ -43,31 +44,162 @@ impl Default for SlpUnitConfig {
 
 /// A pending native SLP query the unit is driving for a foreign request.
 struct PendingQuery {
-    reply: Completion<EventStream>,
+    id: u64,
+    /// Every URL heard so far. The first `SrvRply` also sends the
+    /// follow-up `AttrRqst` (process translation: a complete bridged
+    /// answer needs attributes too).
     urls: Vec<UrlEntry>,
     canonical_type: Symbol,
-    /// Set once we issued the follow-up AttrRqst (process translation:
-    /// a complete bridged answer needs attributes too).
-    awaiting_attrs: Option<String>,
 }
 
-struct SlpUnitInner {
+/// The SLP unit's query process, sans I/O: a multicast `SrvRqst`, an
+/// `AttrRqst` for the first `SrvRply`'s URL, and completion on the
+/// `AttrRply` — or with a 404 when the window closes first. Queries are
+/// keyed by XID, which is also the deadline's timer key.
+pub(crate) struct SlpProcesses {
+    scopes: String,
+    window: Duration,
+    next_xid: u16,
+    pending: HashMap<u16, PendingQuery>,
+}
+
+impl SlpProcesses {
+    pub(crate) fn new(config: &SlpUnitConfig) -> SlpProcesses {
+        SlpProcesses {
+            scopes: config.scopes.clone(),
+            window: config.query_window,
+            next_xid: 0x4000,
+            pending: HashMap::new(),
+        }
+    }
+
+    /// The next XID this unit sends with (queries and adverts share it).
+    fn next_xid(&mut self) -> u16 {
+        let xid = self.next_xid;
+        self.next_xid = self.next_xid.wrapping_add(1).max(0x4000);
+        xid
+    }
+}
+
+impl Processes for SlpProcesses {
+    fn start_query(&mut self, id: u64, request: &EventStream, fx: &mut Vec<Effect>) {
+        let Some(canonical) = request.service_type_symbol() else {
+            fx.push(Effect::Complete { id, response: error_stream(SdpProtocol::Slp, 2) });
+            return;
+        };
+        let xid = self.next_xid();
+        let mut header = Header::new(FunctionId::SrvRqst, xid, DEFAULT_LANG);
+        header.flags = FLAG_MCAST;
+        let msg = Message::new(
+            header,
+            Body::SrvRqst(indiss_slp::SrvRqst {
+                prlist: String::new(),
+                service_type: format!("service:{canonical}"),
+                scopes: self.scopes.clone(),
+                predicate: String::new(),
+                spi: String::new(),
+            }),
+        );
+        self.pending.insert(xid, PendingQuery { id, urls: Vec::new(), canonical_type: canonical });
+        fx.push(Effect::Send {
+            from: Sock::Unit,
+            to: SocketAddrV4::new(SLP_MULTICAST_GROUP, SLP_PORT),
+            bytes: msg.encode().expect("request encodable"),
+            delay: Duration::ZERO,
+        });
+        fx.push(Effect::Arm {
+            timer: u64::from(xid),
+            delay: self.window + Duration::from_millis(5),
+        });
+    }
+
+    /// A reply at the unit's socket, correlated by XID.
+    fn on_datagram(&mut self, _: Sock, dgram: &Datagram, fx: &mut Vec<Effect>) -> ParsedMessage {
+        let Ok(msg) = Message::decode(&dgram.payload) else {
+            return ParsedMessage::NotRelevant;
+        };
+        let xid = msg.header.xid;
+        match msg.body {
+            Body::SrvRply(rply) if rply.error == 0 && !rply.urls.is_empty() => {
+                let Some(pending) = self.pending.get_mut(&xid) else {
+                    return ParsedMessage::Handled;
+                };
+                let first = pending.urls.is_empty();
+                pending.urls.extend(rply.urls);
+                if !first {
+                    return ParsedMessage::Handled;
+                }
+                let attr_rqst = Message::new(
+                    Header::new(FunctionId::AttrRqst, xid, DEFAULT_LANG),
+                    Body::AttrRqst(indiss_slp::AttrRqst {
+                        prlist: String::new(),
+                        url: pending.urls[0].url.clone(),
+                        scopes: self.scopes.clone(),
+                        tags: String::new(),
+                        spi: String::new(),
+                    }),
+                );
+                if let Ok(bytes) = attr_rqst.encode() {
+                    fx.push(Effect::Send {
+                        from: Sock::Unit,
+                        to: dgram.src,
+                        bytes,
+                        delay: Duration::ZERO,
+                    });
+                }
+            }
+            Body::AttrRply(rply) => {
+                let Some(pending) = self.pending.remove(&xid) else {
+                    return ParsedMessage::Handled;
+                };
+                let attrs = AttributeList::parse(&rply.attrs).unwrap_or_default();
+                let entry = &pending.urls[0];
+                let mut body = vec![
+                    Event::NetType(SdpProtocol::Slp),
+                    Event::ServiceResponse,
+                    Event::ResOk,
+                    Event::ServiceType(pending.canonical_type),
+                    Event::ResTtl(u32::from(entry.lifetime)),
+                    Event::ResServUrl(entry.url.clone()),
+                ];
+                for attr in attrs.iter() {
+                    for value in &attr.values {
+                        body.push(Event::ResAttr {
+                            tag: attr.tag.as_str().into(),
+                            value: value.as_str().into(),
+                        });
+                    }
+                }
+                fx.push(Effect::Complete { id: pending.id, response: EventStream::framed(body) });
+            }
+            _ => {}
+        }
+        ParsedMessage::Handled
+    }
+
+    /// The window closed: a query still pending fails the bridge.
+    fn on_timer(&mut self, timer: u64, fx: &mut Vec<Effect>) {
+        let pending = u16::try_from(timer).ok().and_then(|xid| self.pending.remove(&xid));
+        if let Some(pending) = pending {
+            fx.push(Effect::Complete {
+                id: pending.id,
+                response: error_stream(SdpProtocol::Slp, 404),
+            });
+        }
+    }
+}
+
+/// The SLP unit.
+pub struct SlpUnit {
     node: Node,
     socket: UdpSocket,
     config: SlpUnitConfig,
-    next_xid: u16,
-    pending: HashMap<u16, PendingQuery>,
+    processes: RefCell<SlpProcesses>,
     /// Shared registry: attributes of services this unit bridged *into*
     /// SLP live here as projections keyed by the bridged SLP URL, so
     /// follow-up `AttrRqst`s from native SLP clients can be answered
     /// locally from shared state.
-    registry: ServiceRegistry,
-}
-
-/// The SLP unit.
-#[derive(Clone)]
-pub struct SlpUnit {
-    inner: Rc<RefCell<SlpUnitInner>>,
+    registry: RefCell<ServiceRegistry>,
 }
 
 impl SlpUnit {
@@ -77,27 +209,19 @@ impl SlpUnit {
     ///
     /// Network errors from the socket bind.
     pub fn new(node: &Node, config: SlpUnitConfig) -> NetResult<SlpUnit> {
-        let socket = node.udp_bind_ephemeral()?;
-        let unit = SlpUnit {
-            inner: Rc::new(RefCell::new(SlpUnitInner {
-                node: node.clone(),
-                socket: socket.clone(),
-                config,
-                next_xid: 0x4000,
-                pending: HashMap::new(),
-                registry: ServiceRegistry::new(RegistryConfig::default()),
-            })),
-        };
-        let this = unit.clone();
-        socket.on_receive(move |world, dgram| this.handle_own_socket(world, dgram));
-        Ok(unit)
+        Ok(SlpUnit {
+            node: node.clone(),
+            socket: node.udp_bind_ephemeral()?,
+            processes: RefCell::new(SlpProcesses::new(&config)),
+            config,
+            registry: RefCell::new(ServiceRegistry::new(RegistryConfig::default())),
+        })
     }
 
     /// Attributes recorded for a bridged URL (exposed for tests; reads
     /// the shared registry's projection).
     pub fn bridged_attributes(&self, url: &str) -> Option<AttributeList> {
-        let registry = self.inner.borrow().registry.clone();
-        let projection = registry.projection(SdpProtocol::Slp, url)?;
+        let projection = self.registry.borrow().projection(SdpProtocol::Slp, url)?;
         let mut attrs = AttributeList::new();
         for (tag, value) in &projection.attrs {
             attrs.push(indiss_slp::Attribute::single(tag, value));
@@ -265,11 +389,7 @@ pub(crate) fn compose_srv_rply(
     response: &EventStream,
 ) -> Option<()> {
     let endpoint = response.service_url()?;
-    let ttl = response.events().iter().find_map(|e| match e {
-        Event::ResTtl(t) => Some(*t),
-        _ => None,
-    });
-    let lifetime = u16::try_from(ttl.unwrap_or(1800)).unwrap_or(u16::MAX);
+    let lifetime = u16::try_from(response.ttl().unwrap_or(1800)).unwrap_or(u16::MAX);
     let url_parts = slp_url_parts(canonical, endpoint);
     let url = SrvRply::encode_one_into(out, xid, lang, &url_parts, lifetime).ok()?;
     registry.set_attr_projection(SdpProtocol::Slp, url, response.response_attr_iter());
@@ -291,91 +411,13 @@ fn to_slp_url(canonical_type: &str, endpoint: &str) -> String {
     slp_url_parts(canonical_type, endpoint).concat()
 }
 
-impl SlpUnit {
-    /// Handles traffic on the unit's own socket: replies to queries this
-    /// unit initiated (SrvRply / AttrRply correlated by XID).
-    fn handle_own_socket(&self, world: &World, dgram: Datagram) {
-        let Ok(msg) = Message::decode(&dgram.payload) else {
-            return;
-        };
-        let xid = msg.header.xid;
-        match msg.body {
-            Body::SrvRply(rply) if rply.error == 0 && !rply.urls.is_empty() => {
-                // First reply wins; ask for its attributes next (process
-                // translation: the bridged answer must carry attributes).
-                let next = {
-                    let mut inner = self.inner.borrow_mut();
-                    let Some(pending) = inner.pending.get_mut(&xid) else {
-                        return;
-                    };
-                    if pending.awaiting_attrs.is_some() || !pending.urls.is_empty() {
-                        pending.urls.extend(rply.urls);
-                        return;
-                    }
-                    pending.urls.extend(rply.urls);
-                    let url = pending.urls[0].url.clone();
-                    pending.awaiting_attrs = Some(url.clone());
-                    let scopes = inner.config.scopes.clone();
-                    Some((url, scopes))
-                };
-                if let Some((url, scopes)) = next {
-                    let attr_rqst = Message::new(
-                        Header::new(indiss_slp::FunctionId::AttrRqst, xid, DEFAULT_LANG),
-                        Body::AttrRqst(indiss_slp::AttrRqst {
-                            prlist: String::new(),
-                            url,
-                            scopes,
-                            tags: String::new(),
-                            spi: String::new(),
-                        }),
-                    );
-                    let socket = self.inner.borrow().socket.clone();
-                    if let Ok(wire) = attr_rqst.encode() {
-                        let _ = socket.send_to(&wire, dgram.src);
-                    }
-                }
-                let _ = world;
-            }
-            Body::AttrRply(rply) => {
-                let finished = {
-                    let mut inner = self.inner.borrow_mut();
-                    inner.pending.remove(&xid)
-                };
-                let Some(pending) = finished else {
-                    return;
-                };
-                let attrs = AttributeList::parse(&rply.attrs).unwrap_or_default();
-                let mut body = vec![
-                    Event::NetType(SdpProtocol::Slp),
-                    Event::ServiceResponse,
-                    Event::ResOk,
-                    Event::ServiceType(pending.canonical_type),
-                ];
-                let entry = &pending.urls[0];
-                body.push(Event::ResTtl(u32::from(entry.lifetime)));
-                body.push(Event::ResServUrl(entry.url.clone()));
-                for attr in attrs.iter() {
-                    for value in &attr.values {
-                        body.push(Event::ResAttr {
-                            tag: attr.tag.as_str().into(),
-                            value: value.as_str().into(),
-                        });
-                    }
-                }
-                pending.reply.complete(EventStream::framed(body));
-            }
-            _ => {}
-        }
-    }
-}
-
 impl Unit for SlpUnit {
     fn protocol(&self) -> SdpProtocol {
         SdpProtocol::Slp
     }
 
     fn bind_registry(&self, registry: &ServiceRegistry) {
-        self.inner.borrow_mut().registry = registry.clone();
+        *self.registry.borrow_mut() = registry.clone();
     }
 
     fn parse(&self, _world: &World, dgram: &Datagram) -> ParsedMessage {
@@ -391,9 +433,8 @@ impl Unit for SlpUnit {
                     Header::new(indiss_slp::FunctionId::AttrRply, msg.header.xid, &msg.header.lang),
                     Body::AttrRply(indiss_slp::AttrRply { error: 0, attrs: attrs.to_string() }),
                 );
-                let socket = self.inner.borrow().socket.clone();
                 if let Ok(wire) = reply.encode() {
-                    let _ = socket.send_to(&wire, dgram.src);
+                    let _ = self.socket.send_to(&wire, dgram.src);
                 }
                 ParsedMessage::Handled
             } else {
@@ -403,51 +444,12 @@ impl Unit for SlpUnit {
         slp_wire_events(wire, dgram.src, dgram.is_multicast())
     }
 
-    fn execute_query(&self, world: &World, request: &EventStream, reply: Completion<EventStream>) {
-        let Some(canonical) = request.service_type_symbol() else {
-            reply.complete(EventStream::framed(vec![Event::ServiceResponse, Event::ResErr(2)]));
-            return;
-        };
-        let (xid, wire, window) = {
-            let mut inner = self.inner.borrow_mut();
-            let xid = inner.next_xid;
-            inner.next_xid = inner.next_xid.wrapping_add(1).max(0x4000);
-            let mut header = Header::new(indiss_slp::FunctionId::SrvRqst, xid, DEFAULT_LANG);
-            header.flags = FLAG_MCAST;
-            let msg = Message::new(
-                header,
-                Body::SrvRqst(indiss_slp::SrvRqst {
-                    prlist: String::new(),
-                    service_type: format!("service:{canonical}"),
-                    scopes: inner.config.scopes.clone(),
-                    predicate: String::new(),
-                    spi: String::new(),
-                }),
-            );
-            inner.pending.insert(
-                xid,
-                PendingQuery {
-                    reply: reply.clone(),
-                    urls: Vec::new(),
-                    canonical_type: canonical,
-                    awaiting_attrs: None,
-                },
-            );
-            (xid, msg.encode().expect("request encodable"), inner.config.query_window)
-        };
-        let socket = self.inner.borrow().socket.clone();
-        let _ = socket.send_to(&wire, SocketAddrV4::new(SLP_MULTICAST_GROUP, SLP_PORT));
-        // Deadline: if the full process did not finish, fail the bridge.
-        let this = self.clone();
-        world.schedule_in(window + Duration::from_millis(5), move |_| {
-            if let Some(pending) = this.inner.borrow_mut().pending.remove(&xid) {
-                pending.reply.complete(EventStream::framed(vec![
-                    Event::NetType(SdpProtocol::Slp),
-                    Event::ServiceResponse,
-                    Event::ResErr(404),
-                ]));
-            }
-        });
+    fn socket(&self) -> Option<UdpSocket> {
+        Some(self.socket.clone())
+    }
+
+    fn processes(&self) -> Option<RefMut<'_, dyn Processes>> {
+        Some(self.processes.borrow_mut())
     }
 
     fn compose_response(&self, world: &World, request: &EventStream, response: &EventStream) {
@@ -464,13 +466,13 @@ impl Unit for SlpUnit {
             _ => None,
         });
         let mut wire = Vec::with_capacity(128);
-        let inner = self.inner.borrow();
         let (xid, lang) = (xid.unwrap_or(0), lang.unwrap_or(DEFAULT_LANG));
-        if compose_srv_rply(&inner.registry, &mut wire, xid, lang, canonical, response).is_none() {
+        let registry = self.registry.borrow();
+        if compose_srv_rply(&registry, &mut wire, xid, lang, canonical, response).is_none() {
             return;
         }
-        let socket = inner.socket.clone();
-        world.schedule_in(inner.config.translation_delay, move |_| {
+        let socket = self.socket.clone();
+        world.schedule_in(self.config.translation_delay, move |_| {
             let _ = socket.send_to(&wire, requester);
         });
     }
@@ -493,39 +495,30 @@ impl Unit for SlpUnit {
         for (tag, value) in advert.response_attrs() {
             attrs.push(indiss_slp::Attribute::single(tag, value));
         }
-        let (own_url, scopes, xid) = {
-            let mut inner = self.inner.borrow_mut();
-            let xid = inner.next_xid;
-            inner.next_xid = inner.next_xid.wrapping_add(1).max(0x4000);
-            (
-                format!("service:service-agent://{}", inner.node.addr()),
-                inner.config.scopes.clone(),
-                xid,
-            )
-        };
+        let xid = self.processes.borrow_mut().next_xid();
         let msg = Message::new(
             Header::new(indiss_slp::FunctionId::SaAdvert, xid, DEFAULT_LANG),
-            Body::SaAdvert(indiss_slp::SaAdvert { url: own_url, scopes, attrs: attrs.to_string() }),
+            Body::SaAdvert(indiss_slp::SaAdvert {
+                url: format!("service:service-agent://{}", self.node.addr()),
+                scopes: self.config.scopes.clone(),
+                attrs: attrs.to_string(),
+            }),
         );
-        let socket = self.inner.borrow().socket.clone();
-        let delay = self.inner.borrow().config.translation_delay;
-        world.schedule_in(delay, move |_| {
+        let socket = self.socket.clone();
+        world.schedule_in(self.config.translation_delay, move |_| {
             if let Ok(wire) = msg.encode() {
                 let _ = socket.send_to(&wire, SocketAddrV4::new(SLP_MULTICAST_GROUP, SLP_PORT));
             }
         });
-    }
-
-    fn own_sources(&self) -> Vec<SocketAddrV4> {
-        self.inner.borrow().socket.local_addr().map(|a| vec![a]).unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use indiss_net::World;
-    use indiss_slp::{Registration, ServiceAgent, SlpConfig};
+    use crate::units::tests::{heard, request, step};
+    use indiss_net::{Completion, World};
+    use indiss_slp::AttrRply;
 
     fn unit_world() -> (World, Node, SlpUnit) {
         let world = World::new(41);
@@ -606,42 +599,70 @@ mod tests {
         assert_eq!(unit.parse(&world, &dgram), ParsedMessage::NotRelevant);
     }
 
+    fn reply(xid: u16, function: FunctionId, body: Body) -> Datagram {
+        heard(Message::new(Header::new(function, xid, "en"), body).encode().unwrap())
+    }
+
+    fn srv_rply(xid: u16, url: &str) -> Datagram {
+        let urls = vec![UrlEntry::new(url, 1800)];
+        reply(xid, FunctionId::SrvRply, Body::SrvRply(SrvRply { error: 0, urls }))
+    }
+
+    /// Starts query 7 for `printer`: a multicast `SrvRqst` at once and
+    /// its deadline, keyed by the XID it returns.
+    fn started(queries: &mut SlpProcesses) -> u16 {
+        let fx = step(|fx| queries.start_query(7, &request("printer"), fx));
+        let [Effect::Send { from: Sock::Unit, to, bytes, delay: Duration::ZERO }, Effect::Arm { timer, delay }] =
+            &fx[..]
+        else {
+            panic!("a SrvRqst and its deadline: {fx:?}");
+        };
+        assert_eq!(*to, SocketAddrV4::new(SLP_MULTICAST_GROUP, SLP_PORT));
+        assert_eq!(*delay, Duration::from_millis(20), "the 15 ms window, plus 5");
+        let msg = Message::decode(bytes).unwrap();
+        assert!(matches!(&msg.body, Body::SrvRqst(r) if r.service_type == "service:printer"));
+        assert_eq!(u64::from(msg.header.xid), *timer, "the XID keys the deadline");
+        msg.header.xid
+    }
+
+    /// The query process stepped with no `World`: the first `SrvRply`
+    /// sends the `AttrRqst` for its URL, the `AttrRply` completes the
+    /// query with URL and attributes, and a reply or a deadline after
+    /// that completes nothing.
     #[test]
     fn execute_query_drives_request_and_attr_fetch() {
-        let (world, _node, unit) = unit_world();
-        let service_node = world.add_node("printer");
-        let sa = ServiceAgent::start(&service_node, SlpConfig::default()).unwrap();
-        sa.register(
-            Registration::new(
-                "service:printer:lpr://10.0.0.9:515",
-                AttributeList::parse("(ppm=12),(location=office)").unwrap(),
-            )
-            .unwrap(),
-        );
-        let request =
-            EventStream::framed(vec![Event::ServiceRequest, Event::ServiceType("printer".into())]);
-        let reply: Completion<EventStream> = Completion::new();
-        unit.execute_query(&world, &request, reply.clone());
-        world.run_for(Duration::from_secs(1));
-        let response = reply.take().expect("query completed");
-        assert!(response.is_response());
-        assert_eq!(response.service_url(), Some("service:printer:lpr://10.0.0.9:515"));
-        let attrs = response.response_attrs();
-        assert!(attrs.contains(&("ppm", "12")), "attrs fetched via AttrRqst: {attrs:?}");
+        let mut queries = SlpProcesses::new(&SlpUnitConfig::default());
+        let xid = started(&mut queries);
+        let url = "service:printer:lpr://10.0.0.9:515";
+        let fx = step(|fx| queries.on_datagram(Sock::Unit, &srv_rply(xid, url), fx));
+        let [Effect::Send { to, bytes, .. }] = &fx[..] else { panic!("an AttrRqst: {fx:?}") };
+        assert_eq!(*to, srv_rply(xid, url).src, "asked of the replying agent");
+        assert!(matches!(Message::decode(bytes).unwrap().body, Body::AttrRqst(r) if r.url == url));
+        assert!(step(|fx| queries.on_datagram(Sock::Unit, &srv_rply(xid, url), fx)).is_empty());
+
+        let attrs = "(ppm=12),(location=office)".to_owned();
+        let attr_rply =
+            reply(xid, FunctionId::AttrRply, Body::AttrRply(AttrRply { error: 0, attrs }));
+        let fx = step(|fx| queries.on_datagram(Sock::Unit, &attr_rply, fx));
+        let [Effect::Complete { id: 7, response }] = &fx[..] else { panic!("{fx:?}") };
+        assert_eq!(response.service_url(), Some(url));
+        assert!(response.response_attrs().contains(&("ppm", "12")), "attrs fetched via AttrRqst");
+        let late = step(|fx| {
+            queries.on_datagram(Sock::Unit, &attr_rply, fx);
+            queries.on_timer(u64::from(xid), fx);
+        });
+        assert!(late.is_empty(), "no second Complete: {late:?}");
     }
 
     #[test]
     fn execute_query_times_out_to_error_stream() {
-        let (world, _node, unit) = unit_world();
-        let request = EventStream::framed(vec![
-            Event::ServiceRequest,
-            Event::ServiceType("nonexistent".into()),
-        ]);
-        let reply: Completion<EventStream> = Completion::new();
-        unit.execute_query(&world, &request, reply.clone());
-        world.run_for(Duration::from_secs(1));
-        let response = reply.take().expect("deadline fired");
-        assert!(response.events().iter().any(|e| matches!(e, Event::ResErr(_))));
+        let mut queries = SlpProcesses::new(&SlpUnitConfig::default());
+        let xid = started(&mut queries);
+        let fx = step(|fx| queries.on_timer(u64::from(xid), fx));
+        let [Effect::Complete { id: 7, response }] = &fx[..] else { panic!("{fx:?}") };
+        assert!(response.events().iter().any(|e| matches!(e, Event::ResErr(404))));
+        let late = step(|fx| queries.on_datagram(Sock::Unit, &srv_rply(xid, "service:p://h"), fx));
+        assert!(late.is_empty(), "a reply after the deadline is not a second Complete: {late:?}");
     }
 
     #[test]

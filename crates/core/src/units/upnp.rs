@@ -13,30 +13,33 @@
 //! expects a description *document*, so the unit synthesizes one for each
 //! bridged foreign service and serves it from its own HTTP endpoint.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell, RefMut};
+use std::collections::HashMap;
 use std::net::SocketAddrV4;
 use std::rc::Rc;
 use std::time::Duration;
 
-use indiss_net::{Completion, Datagram, NetResult, Node, UdpSocket, World};
+use indiss_net::{Datagram, NetResult, Node, UdpSocket, World};
 use indiss_ssdp::{
     MSearch, Notify, NotifySubType, SearchResponse, SearchTarget, SsdpMessage,
     SSDP_MULTICAST_GROUP, SSDP_PORT,
 };
 use indiss_upnp::{DeviceDescription, HttpServer, ServiceDescription};
 
-use crate::event::{Event, EventStream, EventStreamBuilder, ParserKind, SdpProtocol, Symbol};
-use crate::fsm::{Fsm, FsmBuilder, Trigger};
+use crate::event::{
+    Event, EventKind, EventStream, EventStreamBuilder, ParserKind, SdpProtocol, Symbol,
+};
+use crate::fsm::{Fsm, FsmBuilder};
 use crate::registry::{Projection, RegistryConfig, ServiceRegistry};
-use crate::units::{canonical_type_from_target, ParsedMessage, Unit};
+use crate::units::{
+    canonical_type_from_target, error_stream, Effect, ParsedMessage, Processes, Sock, Unit,
+};
 
 /// UPnP unit tuning.
 #[derive(Debug, Clone)]
 pub struct UpnpUnitConfig {
     /// MX sent in composed M-SEARCHes (0, as in the paper's Fig. 4).
     pub mx: u8,
-    /// How long to wait for the first search response.
-    pub search_window: Duration,
     /// Overall deadline for the whole query process (search + fetch).
     pub process_deadline: Duration,
     /// TCP port of the synthetic-description server.
@@ -53,7 +56,6 @@ impl Default for UpnpUnitConfig {
     fn default() -> Self {
         UpnpUnitConfig {
             mx: 0,
-            search_window: Duration::from_millis(100),
             process_deadline: Duration::from_millis(400),
             bridge_port: 4104,
             parse_delay: Duration::from_millis(2),
@@ -67,136 +69,235 @@ impl Default for UpnpUnitConfig {
 /// previous states are recorded using state variables").
 #[derive(Default)]
 struct QueryVars {
+    id: u64,
     canonical: Symbol,
     location: Option<String>,
     usn: Option<Symbol>,
     ttl: Option<u32>,
     attrs: Vec<(String, String)>,
-    endpoint: Option<String>,
+    /// Set once the process emitted its `Complete`.
+    done: bool,
 }
 
-/// Commands the query FSM's actions emit for the unit to execute.
-enum QueryCmd {
-    /// Fetch the description document (the §2.4 recursive request).
-    FetchDescription(String),
-    /// The process is complete; build and deliver the response stream.
-    Finish,
-}
-
-/// One in-flight query process: the coordination FSM, its state
-/// variables and a command scratch buffer reused across every stream
-/// the session feeds (SSDP first, XML after the parser switch).
-struct QuerySession {
-    fsm: RefCell<Fsm<QueryVars, QueryCmd>>,
-    vars: RefCell<QueryVars>,
-    scratch: RefCell<Vec<QueryCmd>>,
-}
-
-impl QuerySession {
-    fn new(canonical: Symbol) -> QuerySession {
-        QuerySession {
-            fsm: RefCell::new(query_fsm()),
-            vars: RefCell::new(QueryVars { canonical, ..QueryVars::default() }),
-            scratch: RefCell::new(Vec::new()),
+impl QueryVars {
+    /// The final response stream, carrying the endpoint `url`.
+    fn response(&self, url: &str) -> EventStream {
+        let mut body = vec![
+            Event::NetType(SdpProtocol::Upnp),
+            Event::ServiceResponse,
+            Event::ResOk,
+            Event::ServiceType(self.canonical.clone()),
+        ];
+        if let Some(usn) = self.usn.clone() {
+            body.push(Event::UpnpUsn(usn));
         }
-    }
-
-    /// Feeds a stream through the FSM, handing out the scratch buffer
-    /// with the emitted commands. The caller drains it and gives the
-    /// capacity back via [`QuerySession::recycle`] (commands may
-    /// re-enter the session, so it cannot stay borrowed).
-    fn feed(&self, stream: &EventStream) -> Vec<QueryCmd> {
-        let mut cmds = std::mem::take(&mut *self.scratch.borrow_mut());
-        self.fsm.borrow_mut().feed_all(stream.events(), &mut self.vars.borrow_mut(), &mut cmds);
-        cmds
-    }
-
-    fn recycle(&self, cmds: Vec<QueryCmd>) {
-        *self.scratch.borrow_mut() = cmds;
+        body.push(Event::ResTtl(self.ttl.unwrap_or(1800)));
+        for (tag, value) in &self.attrs {
+            body.push(Event::ResAttr { tag: tag.as_str().into(), value: value.as_str().into() });
+        }
+        body.push(Event::ResServUrl(url.to_owned()));
+        EventStream::framed(body)
     }
 }
 
-/// Builds the UPnP query-side DFA:
+/// Builds the UPnP query-side DFA, whose actions emit the process's
+/// effects:
 ///
 /// ```text
 /// await_search --UpnpDeviceUrlDesc--> fetching --ResServUrl--> done
+///               (fetch the description)          (complete)
 /// ```
-fn query_fsm() -> Fsm<QueryVars, QueryCmd> {
+fn query_fsm() -> Fsm<QueryVars, Effect> {
     FsmBuilder::new("await_search")
         .accepting(&["done"])
         // Search response carries the description URL but no endpoint:
         // record it and command the recursive fetch.
         .on(
             "await_search",
-            crate::event::EventKind::UpnpDeviceUrlDesc,
+            EventKind::UpnpDeviceUrlDesc,
             "fetching",
-            Rc::new(|vars: &mut QueryVars, e: &Event, out: &mut Vec<QueryCmd>| {
+            Rc::new(|vars: &mut QueryVars, e: &Event, out: &mut Vec<Effect>| {
                 if let Event::UpnpDeviceUrlDesc(url) = e {
                     vars.location = Some(url.clone());
-                    out.push(QueryCmd::FetchDescription(url.clone()));
+                    out.push(Effect::Fetch { id: vars.id, url: url.clone() });
                 }
             }),
         )
         // Record bookkeeping events in either state.
-        .tuple(
+        .on(
             "await_search",
-            Trigger::Kind(crate::event::EventKind::UpnpUsn),
-            None,
+            EventKind::UpnpUsn,
             "await_search",
-            Some(Rc::new(|vars: &mut QueryVars, e: &Event, _: &mut Vec<QueryCmd>| {
+            Rc::new(|vars: &mut QueryVars, e: &Event, _: &mut Vec<Effect>| {
                 if let Event::UpnpUsn(u) = e {
                     vars.usn = Some(u.clone());
                 }
-            })),
+            }),
         )
-        .tuple(
+        .on(
             "await_search",
-            Trigger::Kind(crate::event::EventKind::ResTtl),
-            None,
+            EventKind::ResTtl,
             "await_search",
-            Some(Rc::new(|vars: &mut QueryVars, e: &Event, _: &mut Vec<QueryCmd>| {
+            Rc::new(|vars: &mut QueryVars, e: &Event, _: &mut Vec<Effect>| {
                 if let Event::ResTtl(t) = e {
                     vars.ttl = Some(*t);
                 }
-            })),
+            }),
         )
-        .tuple(
+        .on(
             "fetching",
-            Trigger::Kind(crate::event::EventKind::ResAttr),
-            None,
+            EventKind::ResAttr,
             "fetching",
-            Some(Rc::new(|vars: &mut QueryVars, e: &Event, _: &mut Vec<QueryCmd>| {
+            Rc::new(|vars: &mut QueryVars, e: &Event, _: &mut Vec<Effect>| {
                 if let Event::ResAttr { tag, value } = e {
                     vars.attrs.push((tag.to_string(), value.to_string()));
                 }
-            })),
+            }),
         )
         // The event the whole process works towards (§2.4).
         .on(
             "fetching",
-            crate::event::EventKind::ResServUrl,
+            EventKind::ResServUrl,
             "done",
-            Rc::new(|vars: &mut QueryVars, e: &Event, out: &mut Vec<QueryCmd>| {
-                if let Event::ResServUrl(u) = e {
-                    vars.endpoint = Some(u.clone());
+            Rc::new(|vars: &mut QueryVars, e: &Event, out: &mut Vec<Effect>| {
+                if let Event::ResServUrl(url) = e {
+                    vars.done = true;
+                    out.push(Effect::Complete { id: vars.id, response: vars.response(url) });
                 }
-                out.push(QueryCmd::Finish);
             }),
         )
         .build()
 }
 
-struct UpnpUnitInner {
-    node: Node,
+/// One in-flight UPnP process.
+enum Process {
+    /// A foreign query's §2.4 session: the coordination FSM and its
+    /// variables, fed SSDP first and XML after the parser switch.
+    Query(Fsm<QueryVars, Effect>, QueryVars),
+    /// An advert waiting for the description its `NOTIFY` points at.
+    Enrich(EventStream, String),
+}
+
+/// The UPnP unit's processes, sans I/O. A query opens a session socket,
+/// multicasts an `M-SEARCH` from it and arms the process deadline; the
+/// first search response's description URL is fetched, and once the
+/// modelled XML parse cost is paid the description's events finish the
+/// FSM. The deadline closes the session and, if nothing completed the
+/// query yet, completes it with a 404. An enrichment is the same fetch
+/// and parse. Timer keys: `2·id` is a query's deadline, `2·id + 1` the
+/// end of process `id`'s parse.
+pub(crate) struct UpnpProcesses {
     config: UpnpUnitConfig,
-    /// Shared registry: bridged-service projections (location, USN and
-    /// the synthetic description document, per canonical type) live
-    /// here, not in a private map. The cell is shared with the HTTP
-    /// handler so [`Unit::bind_registry`] reaches it too.
-    registry: Rc<RefCell<ServiceRegistry>>,
-    next_bridge_id: u64,
-    loop_filter: Option<Rc<dyn Fn(SocketAddrV4)>>,
-    own_sources: Vec<SocketAddrV4>,
+    processes: HashMap<u64, (Process, Option<DeviceDescription>)>,
+}
+
+impl Processes for UpnpProcesses {
+    fn start_query(&mut self, id: u64, request: &EventStream, fx: &mut Vec<Effect>) {
+        let Some(canonical) = request.service_type_symbol() else {
+            fx.push(Effect::Complete { id, response: error_stream(SdpProtocol::Upnp, 2) });
+            return;
+        };
+        // Compose the M-SEARCH (Fig. 4 step 1's output).
+        let c = &self.config;
+        let bytes = MSearch::new(SearchTarget::device_urn(canonical.as_str(), 1), c.mx).to_bytes();
+        let to = SocketAddrV4::new(SSDP_MULTICAST_GROUP, SSDP_PORT);
+        fx.push(Effect::Open(id));
+        fx.push(Effect::Send { from: Sock::Session(id), to, bytes, delay: c.translation_delay });
+        fx.push(Effect::Arm { timer: 2 * id, delay: c.process_deadline });
+        let vars = QueryVars { id, canonical, ..QueryVars::default() };
+        self.processes.insert(id, (Process::Query(query_fsm(), vars), None));
+    }
+
+    /// A `NOTIFY` only points at the description document; fetch it so
+    /// the advert carries the endpoint and attributes other SDPs need.
+    fn start_enrich(&mut self, id: u64, advert: &EventStream, fx: &mut Vec<Effect>) {
+        let location = advert.events().iter().find_map(|e| match e {
+            Event::UpnpDeviceUrlDesc(url) => Some(url),
+            _ => None,
+        });
+        let location = location.filter(|_| advert.service_url().is_none() && !advert.is_byebye());
+        let Some(location) = location else {
+            fx.push(Effect::Complete { id, response: advert.clone() });
+            return;
+        };
+        fx.push(Effect::Fetch { id, url: location.clone() });
+        self.processes.insert(id, (Process::Enrich(advert.clone(), location.clone()), None));
+    }
+
+    /// A search response at query `id`'s session socket.
+    fn on_datagram(&mut self, from: Sock, dgram: &Datagram, fx: &mut Vec<Effect>) -> ParsedMessage {
+        let Sock::Session(id) = from else { return ParsedMessage::NotRelevant };
+        let Ok(SsdpMessage::Response(resp)) = SsdpMessage::parse(&dgram.payload) else {
+            return ParsedMessage::NotRelevant;
+        };
+        if let Some((Process::Query(fsm, vars), _)) = self.processes.get_mut(&id) {
+            fsm.feed_all(response_events(&resp, dgram.src).events(), vars, fx);
+        }
+        ParsedMessage::Handled
+    }
+
+    /// The §2.4 recursive request's answer: a description starts the
+    /// modelled parse cost; a failed GET (`502`) or an unparsable
+    /// document (`500`) fails a query and leaves an advert as it was.
+    fn on_fetched(&mut self, id: u64, document: Option<Vec<u8>>, fx: &mut Vec<Effect>) {
+        let parsed = document.map(|body| {
+            String::from_utf8(body).ok().and_then(|xml| DeviceDescription::from_xml(&xml).ok())
+        });
+        match (parsed, self.processes.get_mut(&id)) {
+            (Some(Some(desc)), process) => {
+                if let Some((_, description)) = process {
+                    *description = Some(desc);
+                }
+                fx.push(Effect::Arm { timer: 2 * id + 1, delay: self.config.parse_delay });
+            }
+            (failed, Some((Process::Query(_, vars), _))) if !vars.done => {
+                vars.done = true;
+                let code = if failed.is_none() { 502 } else { 500 };
+                fx.push(Effect::Complete { id, response: error_stream(SdpProtocol::Upnp, code) });
+            }
+            (_, Some((Process::Enrich(..), _))) => {
+                if let Some((Process::Enrich(advert, _), _)) = self.processes.remove(&id) {
+                    fx.push(Effect::Complete { id, response: advert });
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn on_timer(&mut self, timer: u64, fx: &mut Vec<Effect>) {
+        let id = timer / 2;
+        if timer.is_multiple_of(2) {
+            // The process deadline: close the session; a query nothing
+            // completed fails the bridge.
+            if let Some((Process::Query(_, vars), _)) = self.processes.remove(&id) {
+                fx.push(Effect::Close(id));
+                if !vars.done {
+                    fx.push(Effect::Complete {
+                        id,
+                        response: error_stream(SdpProtocol::Upnp, 404),
+                    });
+                }
+            }
+            return;
+        }
+        // The parse cost is paid: feed the XML-side events.
+        let Some((process, Some(desc))) = self.processes.get_mut(&id).map(|(p, d)| (p, d.take()))
+        else {
+            return;
+        };
+        match process {
+            Process::Query(fsm, vars) => {
+                let events =
+                    description_events(&desc, vars.location.as_deref().unwrap_or_default());
+                fsm.feed_all(events.events(), vars, fx);
+            }
+            Process::Enrich(advert, location) => {
+                let response = enrich_advert_with_description(advert, &desc, location);
+                self.processes.remove(&id);
+                fx.push(Effect::Complete { id, response });
+            }
+        }
+    }
 }
 
 /// `/bridged/<canonical>/description.xml` → `<canonical>`.
@@ -204,11 +305,21 @@ fn canonical_from_description_path(target: &str) -> Option<&str> {
     target.strip_prefix("/bridged/")?.strip_suffix("/description.xml")
 }
 
+type LoopFilter = Rc<dyn Fn(SocketAddrV4)>;
+
 /// The UPnP unit.
-#[derive(Clone)]
 pub struct UpnpUnit {
-    inner: Rc<RefCell<UpnpUnitInner>>,
-    _server: Rc<HttpServer>,
+    node: Node,
+    config: UpnpUnitConfig,
+    processes: RefCell<UpnpProcesses>,
+    /// Shared registry: bridged-service projections (location, USN and
+    /// the synthetic description document, per canonical type) live
+    /// here, not in a private map. The cell is shared with the HTTP
+    /// handler so [`Unit::bind_registry`] reaches it too.
+    registry: Rc<RefCell<ServiceRegistry>>,
+    next_bridge_id: Cell<u64>,
+    loop_filter: RefCell<Option<LoopFilter>>,
+    _server: HttpServer,
 }
 
 impl UpnpUnit {
@@ -246,71 +357,67 @@ impl UpnpUnit {
             }),
         )?;
         Ok(UpnpUnit {
-            inner: Rc::new(RefCell::new(UpnpUnitInner {
-                node: node.clone(),
-                config,
-                registry,
-                next_bridge_id: 1,
-                loop_filter: None,
-                own_sources: Vec::new(),
-            })),
-            _server: Rc::new(server),
+            node: node.clone(),
+            processes: RefCell::new(UpnpProcesses {
+                config: config.clone(),
+                processes: HashMap::new(),
+            }),
+            config,
+            registry,
+            next_bridge_id: Cell::new(1),
+            loop_filter: RefCell::new(None),
+            _server: server,
         })
     }
 
     /// The currently bound registry handle.
     fn registry(&self) -> ServiceRegistry {
-        self.inner.borrow().registry.borrow().clone()
+        self.registry.borrow().clone()
     }
 
     /// Sets the loop-filter callback: every socket the unit opens reports
     /// its address so the monitor can ignore the unit's own traffic.
     pub fn set_loop_filter(&self, f: Rc<dyn Fn(SocketAddrV4)>) {
-        self.inner.borrow_mut().loop_filter = Some(f);
+        *self.loop_filter.borrow_mut() = Some(f);
     }
 
     fn open_session_socket(&self) -> NetResult<UdpSocket> {
-        let node = self.inner.borrow().node.clone();
-        let socket = node.udp_bind_ephemeral()?;
-        if let Ok(addr) = socket.local_addr() {
-            let mut inner = self.inner.borrow_mut();
-            inner.own_sources.push(addr);
-            if let Some(f) = &inner.loop_filter {
-                f(addr);
-            }
+        let socket = self.node.udp_bind_ephemeral()?;
+        if let (Ok(addr), Some(f)) = (socket.local_addr(), &*self.loop_filter.borrow()) {
+            f(addr);
         }
         Ok(socket)
     }
+}
 
-    /// Parses an SSDP search response into events (§2.4 step 2's list).
-    fn response_events(resp: &SearchResponse, src: SocketAddrV4) -> EventStream {
-        let mut body = EventStreamBuilder::with_capacity(9);
-        body.push(Event::NetType(SdpProtocol::Upnp));
-        body.push(Event::NetUnicast);
-        body.push(Event::NetSourceAddr(src));
-        body.push(Event::ServiceResponse);
-        if let Some(t) = canonical_type_from_target(&resp.st) {
-            body.push(Event::ServiceType(t));
-        }
-        body.push(Event::UpnpUsn(resp.usn.as_str().into()));
-        body.push(Event::UpnpServer(resp.server.clone()));
-        body.push(Event::ResTtl(resp.max_age));
-        body.push(Event::UpnpDeviceUrlDesc(resp.location.clone()));
-        body.build()
+/// Parses an SSDP search response into events (§2.4 step 2's list).
+fn response_events(resp: &SearchResponse, src: SocketAddrV4) -> EventStream {
+    let mut body = EventStreamBuilder::with_capacity(9);
+    body.push(Event::NetType(SdpProtocol::Upnp));
+    body.push(Event::NetUnicast);
+    body.push(Event::NetSourceAddr(src));
+    body.push(Event::ServiceResponse);
+    if let Some(t) = canonical_type_from_target(&resp.st) {
+        body.push(Event::ServiceType(t));
     }
+    body.push(Event::UpnpUsn(resp.usn.as_str().into()));
+    body.push(Event::UpnpServer(resp.server.clone()));
+    body.push(Event::ResTtl(resp.max_age));
+    body.push(Event::UpnpDeviceUrlDesc(resp.location.clone()));
+    body.build()
+}
 
-    /// Parses a fetched description into the XML-side events: the stream
-    /// opens with `SDP_C_PARSER_SWITCH` (the SSDP parser handed over) and
-    /// works towards `SDP_RES_SERV_URL`.
-    fn description_events(desc: &DeviceDescription, location: &str) -> EventStream {
-        let mut body = EventStreamBuilder::new();
-        body.push(Event::SocketSwitch);
-        body.push(Event::ParserSwitch(ParserKind::Xml));
-        push_description_attrs(desc, &mut body);
-        body.push(Event::ResOk);
-        body.push(Event::ResServUrl(description_endpoint(desc, location)));
-        body.build()
-    }
+/// Parses a fetched description into the XML-side events: the stream
+/// opens with `SDP_C_PARSER_SWITCH` (the SSDP parser handed over) and
+/// works towards `SDP_RES_SERV_URL`.
+fn description_events(desc: &DeviceDescription, location: &str) -> EventStream {
+    let mut body = EventStreamBuilder::new();
+    body.push(Event::SocketSwitch);
+    body.push(Event::ParserSwitch(ParserKind::Xml));
+    push_description_attrs(desc, &mut body);
+    body.push(Event::ResOk);
+    body.push(Event::ResServUrl(description_endpoint(desc, location)));
+    body.build()
 }
 
 /// The stateless SSDP parser table: one raw datagram → events. Both
@@ -359,9 +466,7 @@ pub(crate) fn decode_ssdp_wire(payload: &[u8], src: SocketAddrV4) -> ParsedMessa
             }
             ParsedMessage::Advert(EventStream::framed(body))
         }
-        SsdpMessage::Response(resp) => {
-            ParsedMessage::Response(UpnpUnit::response_events(&resp, src))
-        }
+        SsdpMessage::Response(resp) => ParsedMessage::Response(response_events(&resp, src)),
     }
 }
 
@@ -424,82 +529,15 @@ impl Unit for UpnpUnit {
     }
 
     fn bind_registry(&self, registry: &ServiceRegistry) {
-        *self.inner.borrow().registry.borrow_mut() = registry.clone();
+        *self.registry.borrow_mut() = registry.clone();
     }
 
     fn parse(&self, _world: &World, dgram: &Datagram) -> ParsedMessage {
         decode_ssdp_wire(&dgram.payload, dgram.src)
     }
 
-    fn execute_query(&self, world: &World, request: &EventStream, reply: Completion<EventStream>) {
-        let Some(canonical) = request.service_type_symbol() else {
-            reply.complete(EventStream::framed(vec![Event::ServiceResponse, Event::ResErr(2)]));
-            return;
-        };
-        let Ok(socket) = self.open_session_socket() else {
-            reply.complete(EventStream::framed(vec![Event::ServiceResponse, Event::ResErr(500)]));
-            return;
-        };
-        let (mx, deadline, parse_delay) = {
-            let inner = self.inner.borrow();
-            (inner.config.mx, inner.config.process_deadline, inner.config.parse_delay)
-        };
-
-        let session = Rc::new(QuerySession::new(canonical.clone()));
-
-        let this = self.clone();
-        let reply_for_events = reply.clone();
-        let session2 = Rc::clone(&session);
-        let socket_for_handler = socket.clone();
-        socket.on_receive(move |world, dgram| {
-            let Ok(SsdpMessage::Response(resp)) = SsdpMessage::parse(&dgram.payload) else {
-                return;
-            };
-            let stream = UpnpUnit::response_events(&resp, dgram.src);
-            let mut cmds = session2.feed(&stream);
-            for cmd in cmds.drain(..) {
-                match cmd {
-                    QueryCmd::FetchDescription(url) => {
-                        this.run_description_fetch(
-                            world,
-                            &url,
-                            parse_delay,
-                            Rc::clone(&session2),
-                            reply_for_events.clone(),
-                        );
-                    }
-                    QueryCmd::Finish => {
-                        finish(&session2.vars.borrow(), &reply_for_events);
-                    }
-                }
-            }
-            session2.recycle(cmds);
-            let _ = &socket_for_handler;
-        });
-
-        // Compose and send the M-SEARCH (Fig. 4 step 1's output).
-        let target = SearchTarget::device_urn(canonical.as_str(), 1);
-        let wire = MSearch::new(target, mx).to_bytes();
-        let translation_delay = self.inner.borrow().config.translation_delay;
-        let send_socket = socket.clone();
-        world.schedule_in(translation_delay, move |_| {
-            let _ = send_socket.send_to(&wire, SocketAddrV4::new(SSDP_MULTICAST_GROUP, SSDP_PORT));
-        });
-
-        // Process deadline: fail the bridge if the FSM never accepted.
-        let reply_deadline = reply.clone();
-        let session3 = Rc::clone(&session);
-        let socket_close = socket.clone();
-        world.schedule_in(deadline, move |_| {
-            socket_close.close();
-            if !session3.fsm.borrow().is_accepting() {
-                reply_deadline.complete(EventStream::framed(vec![
-                    Event::NetType(SdpProtocol::Upnp),
-                    Event::ServiceResponse,
-                    Event::ResErr(404),
-                ]));
-            }
-        });
+    fn processes(&self) -> Option<RefMut<'_, dyn Processes>> {
+        Some(self.processes.borrow_mut())
     }
 
     fn compose_response(&self, world: &World, request: &EventStream, response: &EventStream) {
@@ -520,14 +558,7 @@ impl Unit for UpnpUnit {
                 _ => None,
             })
             .unwrap_or_else(|| format!("urn:schemas-upnp-org:device:{canonical}:1"));
-        let ttl = response
-            .events()
-            .iter()
-            .find_map(|e| match e {
-                Event::ResTtl(t) => Some(*t),
-                _ => None,
-            })
-            .unwrap_or(1800);
+        let ttl = response.ttl().unwrap_or(1800);
 
         let (location, usn) =
             self.ensure_bridged(canonical.as_str(), &endpoint, response.response_attrs());
@@ -535,14 +566,13 @@ impl Unit for UpnpUnit {
             st: st_text.parse().unwrap_or(SearchTarget::Custom(st_text)),
             usn,
             location,
-            server: self.inner.borrow().config.server_banner.clone(),
+            server: self.config.server_banner.clone(),
             max_age: ttl,
         };
         let Ok(socket) = self.open_session_socket() else {
             return;
         };
-        let delay = self.inner.borrow().config.translation_delay;
-        world.schedule_in(delay, move |_| {
+        world.schedule_in(self.config.translation_delay, move |_| {
             let _ = socket.send_to(&ssdp_response.to_bytes(), requester);
             socket.close();
         });
@@ -574,109 +604,21 @@ impl Unit for UpnpUnit {
             nts,
             usn,
             location: if nts == NotifySubType::ByeBye { None } else { location },
-            server: self.inner.borrow().config.server_banner.clone(),
+            server: self.config.server_banner.clone(),
             max_age: 1800,
         };
         let Ok(socket) = self.open_session_socket() else {
             return;
         };
-        let delay = self.inner.borrow().config.translation_delay;
-        world.schedule_in(delay, move |_| {
+        world.schedule_in(self.config.translation_delay, move |_| {
             let _ = socket
                 .send_to(&notify.to_bytes(), SocketAddrV4::new(SSDP_MULTICAST_GROUP, SSDP_PORT));
             socket.close();
         });
     }
-
-    fn own_sources(&self) -> Vec<SocketAddrV4> {
-        self.inner.borrow().own_sources.clone()
-    }
-
-    /// A UPnP `NOTIFY` only points at the description document; fetch it
-    /// so the advert carries the endpoint and attributes other SDPs need.
-    fn enrich_advert(&self, world: &World, advert: &EventStream, done: Completion<EventStream>) {
-        if advert.service_url().is_some() || advert.is_byebye() {
-            done.complete(advert.clone());
-            return;
-        }
-        let location = advert.events().iter().find_map(|e| match e {
-            Event::UpnpDeviceUrlDesc(url) => Some(url.clone()),
-            _ => None,
-        });
-        let Some(location) = location else {
-            done.complete(advert.clone());
-            return;
-        };
-        let node = self.inner.borrow().node.clone();
-        let parse_delay = self.inner.borrow().config.parse_delay;
-        let base = advert.clone();
-        let fetched = indiss_upnp::http_get(&node, &location);
-        let world2 = world.clone();
-        fetched.subscribe(move |resp| {
-            let desc = resp
-                .filter(|r| r.is_success())
-                .and_then(|r| String::from_utf8(r.body).ok())
-                .and_then(|xml| DeviceDescription::from_xml(&xml).ok());
-            let Some(desc) = desc else {
-                done.complete(base);
-                return;
-            };
-            world2.schedule_in(parse_delay, move |_| {
-                done.complete(enrich_advert_with_description(&base, &desc, &location));
-            });
-        });
-    }
 }
 
 impl UpnpUnit {
-    /// Runs the recursive description fetch (§2.4): GET the description,
-    /// model the XML parse cost, feed the resulting events to the FSM.
-    fn run_description_fetch(
-        &self,
-        world: &World,
-        url: &str,
-        parse_delay: Duration,
-        session: Rc<QuerySession>,
-        reply: Completion<EventStream>,
-    ) {
-        let node = self.inner.borrow().node.clone();
-        let fetched = indiss_upnp::http_get(&node, url);
-        let world2 = world.clone();
-        let url2 = url.to_owned();
-        fetched.subscribe(move |resp| {
-            let Some(resp) = resp.filter(|r| r.is_success()) else {
-                reply.complete(EventStream::framed(vec![
-                    Event::NetType(SdpProtocol::Upnp),
-                    Event::ServiceResponse,
-                    Event::ResErr(502),
-                ]));
-                return;
-            };
-            let Some(desc) = String::from_utf8(resp.body)
-                .ok()
-                .and_then(|xml| DeviceDescription::from_xml(&xml).ok())
-            else {
-                reply.complete(EventStream::framed(vec![
-                    Event::NetType(SdpProtocol::Upnp),
-                    Event::ServiceResponse,
-                    Event::ResErr(500),
-                ]));
-                return;
-            };
-            // Model the XML parse cost, then feed the XML-side events.
-            world2.schedule_in(parse_delay, move |_| {
-                let stream = UpnpUnit::description_events(&desc, &url2);
-                let mut cmds = session.feed(&stream);
-                for cmd in cmds.drain(..) {
-                    if matches!(cmd, QueryCmd::Finish) {
-                        finish(&session.vars.borrow(), &reply);
-                    }
-                }
-                session.recycle(cmds);
-            });
-        });
-    }
-
     /// Registers (or reuses) a synthetic description for a bridged
     /// foreign service; returns `(location, usn)`. The projection —
     /// including the description document served over HTTP — lives in
@@ -696,9 +638,8 @@ impl UpnpUnit {
         {
             return (location, usn);
         }
-        let mut inner = self.inner.borrow_mut();
-        let id = inner.next_bridge_id;
-        inner.next_bridge_id += 1;
+        let id = self.next_bridge_id.get();
+        self.next_bridge_id.set(id + 1);
         // Keyed by canonical type: re-minting after a projection
         // eviction reuses the same path rather than minting a new one.
         let path = format!("/bridged/{canonical}/description.xml");
@@ -711,24 +652,21 @@ impl UpnpUnit {
             device_type: format!("urn:schemas-upnp-org:device:{canonical}:1"),
             friendly_name: friendly,
             manufacturer: "INDISS bridge".to_owned(),
-            manufacturer_url: String::new(),
             model_description: format!("bridged from {endpoint}"),
             model_name: canonical.to_owned(),
             model_number: "1.0".to_owned(),
-            model_url: String::new(),
             udn: format!("uuid:indiss-bridged-{id}"),
             services: vec![ServiceDescription {
                 service_type: format!("urn:schemas-upnp-org:service:{canonical}:1"),
                 service_id: format!("urn:upnp-org:serviceId:{canonical}"),
                 // Absolute: points at the real foreign endpoint.
                 control_url: endpoint.to_owned(),
-                event_sub_url: String::new(),
-                scpd_url: String::new(),
+                ..ServiceDescription::default()
             }],
+            ..DeviceDescription::default()
         };
-        let location = format!("http://{}:{}{}", inner.node.addr(), inner.config.bridge_port, path);
+        let location = format!("http://{}:{}{}", self.node.addr(), self.config.bridge_port, path);
         let usn = format!("uuid:indiss-bridged-{id}::urn:schemas-upnp-org:device:{canonical}:1");
-        drop(inner);
         registry.set_projection(
             SdpProtocol::Upnp,
             canonical,
@@ -744,32 +682,11 @@ impl UpnpUnit {
     }
 }
 
-/// Builds the final response event stream from the session variables and
-/// completes the bridge reply.
-fn finish(vars: &QueryVars, reply: &Completion<EventStream>) {
-    let mut body = vec![
-        Event::NetType(SdpProtocol::Upnp),
-        Event::ServiceResponse,
-        Event::ResOk,
-        Event::ServiceType(vars.canonical.clone()),
-    ];
-    if let Some(usn) = vars.usn.clone() {
-        body.push(Event::UpnpUsn(usn));
-    }
-    body.push(Event::ResTtl(vars.ttl.unwrap_or(1800)));
-    for (tag, value) in &vars.attrs {
-        body.push(Event::ResAttr { tag: tag.as_str().into(), value: value.as_str().into() });
-    }
-    if let Some(endpoint) = &vars.endpoint {
-        body.push(Event::ResServUrl(endpoint.clone()));
-    }
-    reply.complete(EventStream::framed(body));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use indiss_upnp::{ClockDevice, UpnpConfig};
+    use crate::units::tests::{heard, request, step};
+    use indiss_net::Completion;
 
     fn unit_world() -> (World, Node, UpnpUnit) {
         let world = World::new(51);
@@ -828,44 +745,82 @@ mod tests {
         assert_eq!(stream.service_type(), Some("clock"));
     }
 
-    /// The full §2.4 process: M-SEARCH → response → recursive GET →
-    /// XML parse → `SDP_RES_SERV_URL`.
+    fn clock_description() -> Vec<u8> {
+        let services = vec![ServiceDescription::conventional("timer", 1)];
+        let name = "CyberGarage Clock Device".into();
+        DeviceDescription { friendly_name: name, services, ..DeviceDescription::default() }
+            .to_xml()
+            .into_bytes()
+    }
+
+    /// Starts query 3: its session opened, the M-SEARCH sent from it
+    /// once the translation cost is paid, the process deadline armed.
+    fn started() -> UpnpProcesses {
+        let config = UpnpUnitConfig::default();
+        let mut processes = UpnpProcesses { config, processes: HashMap::new() };
+        let fx = step(|fx| processes.start_query(3, &request("clock"), fx));
+        let [Effect::Open(3), Effect::Send { from: Sock::Session(3), to, bytes, delay }, Effect::Arm { timer: 6, delay: deadline }] =
+            &fx[..]
+        else {
+            panic!("session, M-SEARCH, deadline: {fx:?}");
+        };
+        assert_eq!(*to, SocketAddrV4::new(SSDP_MULTICAST_GROUP, SSDP_PORT));
+        assert_eq!((*delay, *deadline), (Duration::from_micros(150), Duration::from_millis(400)));
+        let Ok(SsdpMessage::MSearch(search)) = SsdpMessage::parse(bytes) else { panic!() };
+        assert_eq!(search.st, SearchTarget::device_urn("clock", 1));
+        processes
+    }
+
+    /// The full §2.4 process stepped with no `World`: M-SEARCH →
+    /// response → recursive GET → XML parse cost → `SDP_RES_SERV_URL`.
+    /// A second response, and the deadline after completion, only close
+    /// the session.
     #[test]
     fn execute_query_fetches_description_recursively() {
-        let (world, _node, unit) = unit_world();
-        let device_node = world.add_node("clock-device");
-        let _clock = ClockDevice::start(&device_node, UpnpConfig::default()).unwrap();
-        world.run_for(Duration::from_millis(10));
-
-        let request =
-            EventStream::framed(vec![Event::ServiceRequest, Event::ServiceType("clock".into())]);
-        let reply: Completion<EventStream> = Completion::new();
-        unit.execute_query(&world, &request, reply.clone());
-        world.run_for(Duration::from_secs(2));
-        let response = reply.take().expect("process completed");
-        assert!(response.is_response());
-        let url = response.service_url().expect("endpoint found");
-        assert!(
-            url.starts_with("soap://") && url.ends_with("/service/timer/control"),
-            "expected the paper's soap control URL shape, got {url}"
+        let mut processes = started();
+        let location = "http://10.0.0.2:4004/description.xml";
+        let search_response = heard(
+            SearchResponse {
+                st: SearchTarget::device_urn("clock", 1),
+                usn: "uuid:clock::urn:schemas-upnp-org:device:clock:1".into(),
+                location: location.into(),
+                server: "x".into(),
+                max_age: 1800,
+            }
+            .to_bytes(),
         );
+        let fx = step(|fx| processes.on_datagram(Sock::Session(3), &search_response, fx));
+        assert_eq!(fx, [Effect::Fetch { id: 3, url: location.into() }]);
+        let fx = step(|fx| processes.on_fetched(3, Some(clock_description()), fx));
+        assert_eq!(fx, [Effect::Arm { timer: 7, delay: Duration::from_millis(2) }]);
+        let fx = step(|fx| processes.on_timer(7, fx));
+        let [Effect::Complete { id: 3, response }] = &fx[..] else { panic!("{fx:?}") };
+        assert_eq!(response.service_url(), Some("soap://10.0.0.2:4004/service/timer/control"));
         let attrs = response.response_attrs();
-        assert!(
-            attrs.contains(&("friendlyName", "CyberGarage Clock Device")),
-            "description attributes extracted: {attrs:?}"
-        );
+        assert!(attrs.contains(&("friendlyName", "CyberGarage Clock Device")), "{attrs:?}");
+        let late = step(|fx| {
+            processes.on_datagram(Sock::Session(3), &search_response, fx);
+            processes.on_timer(6, fx);
+        });
+        assert_eq!(late, [Effect::Close(3)], "no second Complete");
     }
 
     #[test]
     fn execute_query_times_out_cleanly() {
-        let (world, _node, unit) = unit_world();
-        let request =
-            EventStream::framed(vec![Event::ServiceRequest, Event::ServiceType("toaster".into())]);
-        let reply: Completion<EventStream> = Completion::new();
-        unit.execute_query(&world, &request, reply.clone());
-        world.run_for(Duration::from_secs(2));
-        let response = reply.take().expect("deadline fired");
+        let mut processes = started();
+        let fx = step(|fx| processes.on_timer(6, fx));
+        let [Effect::Close(3), Effect::Complete { id: 3, response }] = &fx[..] else {
+            panic!("{fx:?}")
+        };
         assert!(response.events().iter().any(|e| matches!(e, Event::ResErr(404))));
+        // A description arriving late still pays its parse cost, but
+        // completes nothing; neither does a failed fetch.
+        let late = step(|fx| {
+            processes.on_fetched(3, Some(clock_description()), fx);
+            processes.on_fetched(3, None, fx);
+            processes.on_timer(7, fx);
+        });
+        assert_eq!(late, [Effect::Arm { timer: 7, delay: Duration::from_millis(2) }]);
     }
 
     #[test]

@@ -524,15 +524,15 @@ mod tests {
     #[test]
     fn shutdown_joins_well_under_the_poll_tick() {
         let transport = BatchedTransport::with_offset(23_700);
-        if transport
-            .bind_batched(&BindSpec { port: 427, groups: vec![] }, Arc::new(|_| {}))
-            .is_err()
-        {
+        let (sink, rx) = batch_sink();
+        let Ok(server) = transport.bind_batched(&BindSpec { port: 427, groups: vec![] }, sink)
+        else {
             eprintln!("skipping shutdown_joins_well_under_the_poll_tick: no loopback bind");
             return;
-        }
-        // Let the reactor (or fallback thread) settle into its wait.
-        std::thread::sleep(Duration::from_millis(50));
+        };
+        // A datagram through the channel proves its receive loop runs.
+        server.send_to(b"ping", server.local_addr()).unwrap();
+        rx.recv_timeout(Duration::from_secs(3)).expect("the receive loop delivers");
         let started = std::time::Instant::now();
         transport.shutdown();
         let elapsed = started.elapsed();
